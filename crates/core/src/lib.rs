@@ -22,9 +22,11 @@
 //! [`FusionConfig::popaccu`], [`FusionConfig::popaccu_plus_unsup`],
 //! [`FusionConfig::popaccu_plus`]) match the named systems in the paper.
 //!
-//! Execution follows the paper's three-stage MapReduce architecture
-//! (Fig. 8) on the [`kf_mapreduce`] substrate, with reducer-side reservoir
-//! sampling (`L`) and forced termination (`R`). The grouping stage
+//! Execution follows the paper's staged architecture (Fig. 8) on the
+//! [`kf_mapreduce`] substrate, with reservoir sampling (`L`) and forced
+//! termination (`R`). Grouping partitions the batch by data item once, so
+//! Stage I is a map-only pass over that partition and only Stage II runs
+//! a MapReduce job each round. The grouping stage
 //! ([`Grouped::build`]) is a single MapReduce pass — provenance keys ship
 //! packed through the shuffle and dense sorted ids are assigned in a
 //! post-reduce renumbering — and honours the engine's chunked-shuffle

@@ -9,15 +9,13 @@
 //! alongside each observation, and the dense sorted ids are assigned in a
 //! post-reduce renumbering step, so each extraction's provenance key is
 //! projected and hashed once instead of twice (the historical two-pass
-//! scheme is retained as [`Grouped::build_two_pass`] for differential
-//! testing and as the benchmark baseline). The grouping is then shared
-//! (read-only) by all rounds; only the accuracy array mutates between
-//! rounds.
+//! scheme survives only as this module's test oracle). The grouping is
+//! then shared (read-only) by all rounds; only the accuracy array mutates
+//! between rounds.
 
-use kf_mapreduce::{map_reduce, map_reduce_combined_with_stats, Emitter, JobStats, MrConfig};
+use kf_mapreduce::{map_reduce_combined_with_stats, scoped_map, Emitter, JobStats, MrConfig};
 use kf_types::{
-    DataItem, Extraction, FxHashMap, FxHashSet, FxMixHashMap, FxMixHashSet, Granularity,
-    ProvenanceKey, Triple, Value,
+    DataItem, Extraction, FxMixHashMap, FxMixHashSet, Granularity, ProvenanceKey, Triple, Value,
 };
 
 /// One candidate value of a data item with its supporting provenances.
@@ -120,8 +118,8 @@ impl Grouped {
     /// per-value support keyed by `ProvenanceKey`. Dense ids are assigned
     /// afterwards in a renumbering step over the distinct keys, sorted so
     /// the id space is deterministic — identical to what the historical
-    /// registry pre-pass produced ([`Grouped::build_two_pass`]), but each
-    /// extraction's key is projected and hashed once instead of twice.
+    /// two-pass build's registry pre-pass produced, but each extraction's
+    /// key is projected and hashed once instead of twice.
     ///
     /// The pass registers a sort-and-deduplicate
     /// [`Combiner`](kf_mapreduce::Combiner): on the chunked/external
@@ -223,40 +221,19 @@ impl Grouped {
         // steps run parallel over contiguous item chunks (concatenated in
         // order, so the result is deterministic), mirroring the
         // parallelism the reducers had.
-        let workers = mr.workers.max(1);
-        let chunk_size = raw.len().div_ceil(workers).max(1);
-
-        let mut packed_keys: Vec<u128> = if workers == 1 {
+        let chunk_size = raw.len().div_ceil(mr.workers.max(1)).max(1);
+        let mut sets = scoped_map(raw.chunks(chunk_size).collect(), |chunk| {
             let mut set: FxMixHashSet<u128> = FxMixHashSet::default();
-            for (_, _, flat) in &raw {
+            for (_, _, flat) in chunk {
                 set.extend(flat.iter().copied());
             }
-            set.into_iter().collect()
-        } else {
-            let mut sets: Vec<FxMixHashSet<u128>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = raw
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut set: FxMixHashSet<u128> = FxMixHashSet::default();
-                            for (_, _, flat) in chunk {
-                                set.extend(flat.iter().copied());
-                            }
-                            set
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    sets.push(h.join().expect("key-collection worker panicked"));
-                }
-            });
-            let mut union = sets.pop().unwrap_or_default();
-            for set in sets {
-                union.extend(set);
-            }
-            union.into_iter().collect()
-        };
+            set
+        });
+        let mut union = sets.pop().unwrap_or_default();
+        for set in sets {
+            union.extend(set);
+        }
+        let mut packed_keys: Vec<u128> = union.into_iter().collect();
         packed_keys.sort_unstable();
         let key_index: FxMixHashMap<u128, u32> = packed_keys
             .iter()
@@ -302,38 +279,22 @@ impl Grouped {
                 (items, support)
             };
 
-        let (items, support) = if workers == 1 {
-            renumber(raw)
-        } else {
-            // Split from the back with split_off (each element moves once;
-            // draining the front would shift the whole remainder per chunk).
-            let mut chunks: Vec<Vec<_>> = Vec::new();
-            while !raw.is_empty() {
-                let at = raw.len() - chunk_size.min(raw.len());
-                chunks.push(raw.split_off(at));
+        // Split from the back with split_off (each element moves once;
+        // draining the front would shift the whole remainder per chunk).
+        let mut chunks: Vec<Vec<_>> = Vec::new();
+        while !raw.is_empty() {
+            let at = raw.len() - chunk_size.min(raw.len());
+            chunks.push(raw.split_off(at));
+        }
+        chunks.reverse();
+        let mut parts = scoped_map(chunks, renumber).into_iter();
+        let (mut items, mut support) = parts.next().unwrap_or_default();
+        for (part_items, part_support) in parts {
+            items.extend(part_items);
+            for (total, local) in support.iter_mut().zip(part_support) {
+                *total += local;
             }
-            chunks.reverse();
-            let mut parts: Vec<(Vec<ItemGroup>, Vec<u32>)> = Vec::new();
-            std::thread::scope(|scope| {
-                let renumber = &renumber;
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| scope.spawn(move || renumber(chunk)))
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("renumber worker panicked"));
-                }
-            });
-            let mut items = Vec::new();
-            let mut support = vec![0u32; n];
-            for (part_items, part_support) in parts {
-                items.extend(part_items);
-                for (total, local) in support.iter_mut().zip(part_support) {
-                    *total += local;
-                }
-            }
-            (items, support)
-        };
+        }
         let grouped = Grouped {
             items,
             provs: ProvRegistry {
@@ -346,16 +307,43 @@ impl Grouped {
         (grouped, stats)
     }
 
-    /// The historical two-pass build: a registry pre-pass assigns dense
-    /// provenance ids, then a second pass groups by data item. Retained as
-    /// the measured baseline for `benches/fusion_methods.rs` and for
-    /// differential tests — its output must stay byte-identical to
+    /// Total number of unique triples.
+    pub fn n_triples(&self) -> usize {
+        self.items.iter().map(|g| g.values.len()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kf_mapreduce::map_reduce;
+    use kf_types::{
+        EntityId, ExtractorId, FxHashMap, FxHashSet, PageId, PatternId, PredicateId, Provenance,
+        SiteId,
+    };
+    use proptest::prelude::*;
+
+    fn ext(s: u32, p: u32, o: u32, extractor: u16, page: u32) -> Extraction {
+        Extraction::new(
+            Triple::new(EntityId(s), PredicateId(p), Value::Entity(EntityId(o))),
+            Provenance::new(
+                ExtractorId(extractor),
+                PageId(page),
+                SiteId(page / 10),
+                PatternId::NONE,
+            ),
+        )
+    }
+
+    fn build(batch: &[Extraction]) -> Grouped {
+        Grouped::build(batch, Granularity::ExtractorPage, &MrConfig::sequential())
+    }
+
+    /// The historical two-pass build, kept as the differential oracle: a
+    /// registry pre-pass assigns dense provenance ids, then a second pass
+    /// groups by data item. Its output must stay byte-identical to
     /// [`Grouped::build`].
-    pub fn build_two_pass(
-        batch: &[Extraction],
-        granularity: Granularity,
-        mr: &MrConfig,
-    ) -> Grouped {
+    fn build_two_pass(batch: &[Extraction], granularity: Granularity, mr: &MrConfig) -> Grouped {
         // ---- Pass A: the provenance registry ------------------------------
         // Distinct provenance keys, sorted for dense-id determinism.
         let mut keys: Vec<ProvenanceKey> = map_reduce(
@@ -447,33 +435,6 @@ impl Grouped {
                 evaluated: vec![false; n],
             },
         }
-    }
-
-    /// Total number of unique triples.
-    pub fn n_triples(&self) -> usize {
-        self.items.iter().map(|g| g.values.len()).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kf_types::{EntityId, ExtractorId, PageId, PatternId, PredicateId, Provenance, SiteId};
-
-    fn ext(s: u32, p: u32, o: u32, extractor: u16, page: u32) -> Extraction {
-        Extraction::new(
-            Triple::new(EntityId(s), PredicateId(p), Value::Entity(EntityId(o))),
-            Provenance::new(
-                ExtractorId(extractor),
-                PageId(page),
-                SiteId(page / 10),
-                PatternId::NONE,
-            ),
-        )
-    }
-
-    fn build(batch: &[Extraction]) -> Grouped {
-        Grouped::build(batch, Granularity::ExtractorPage, &MrConfig::sequential())
     }
 
     #[test]
@@ -577,9 +538,56 @@ mod tests {
         ] {
             for mr in [MrConfig::sequential(), MrConfig::with_workers(5)] {
                 let single = Grouped::build(&batch, g, &mr);
-                let two = Grouped::build_two_pass(&batch, g, &mr);
+                let two = build_two_pass(&batch, g, &mr);
                 assert_eq!(single, two, "granularity {g:?}, mr {mr:?}");
             }
+        }
+    }
+
+    /// Arbitrary extraction batches spanning the corpus shapes that
+    /// matter for grouping: few/many items, value conflicts, shared and
+    /// singleton provenances, multi-site pages.
+    fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
+        prop::collection::vec((0u32..20, 0u32..4, 0u32..8, 0u16..5, 0u32..40), 0..250).prop_map(
+            |tuples| {
+                tuples
+                    .into_iter()
+                    .map(|(s, p, o, extractor, page)| {
+                        Extraction::new(
+                            Triple::new(EntityId(s), PredicateId(p), Value::Entity(EntityId(o))),
+                            Provenance::new(
+                                ExtractorId(extractor),
+                                PageId(page),
+                                SiteId(page / 8),
+                                PatternId(extractor as u32 % 3),
+                            ),
+                        )
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        /// Chunked and unchunked shuffles build identical `Grouped` output
+        /// for any corpus shape, worker count and chunk quota — and both
+        /// match the historical two-pass oracle.
+        #[test]
+        fn grouping_is_invariant_to_chunking_and_passes(
+            batch in arb_batch(),
+            workers in 1usize..7,
+            chunk_records in 1usize..100,
+        ) {
+            let granularity = Granularity::ExtractorSitePredicatePattern;
+            let reference = Grouped::build(&batch, granularity, &MrConfig::sequential());
+            let chunked = Grouped::build(
+                &batch,
+                granularity,
+                &MrConfig::with_workers(workers).with_chunk_records(chunk_records),
+            );
+            prop_assert_eq!(&reference, &chunked);
+            let two_pass = build_two_pass(&batch, granularity, &MrConfig::with_workers(workers));
+            prop_assert_eq!(&reference, &two_pass);
         }
     }
 

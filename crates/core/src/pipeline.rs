@@ -1,7 +1,9 @@
 //! The three-stage iterative fusion pipeline (Fig. 8).
 //!
-//! * **Stage I** — partition by data item, compute triple probabilities
-//!   from the current provenance accuracies (VOTE / ACCU / POPACCU).
+//! * **Stage I** — per data item, compute triple probabilities from the
+//!   current provenance accuracies (VOTE / ACCU / POPACCU). Grouping
+//!   already partitioned the batch by data item, so each round's Stage I
+//!   is a map-only pass over that partition, with no shuffle.
 //! * **Stage II** — partition by provenance, re-estimate each provenance's
 //!   accuracy as the mean probability of (a sample of) its triples.
 //! * Iterate I ↔ II until convergence or `R` rounds (the paper forces
@@ -19,11 +21,10 @@ use crate::config::{FusionConfig, InitAccuracy, Method};
 use crate::methods;
 use crate::observation::{Grouped, ItemGroup};
 use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
-use kf_mapreduce::{map_reduce_with_stats, Emitter, IterativeDriver, JobStats, Reservoir};
+use kf_mapreduce::{
+    map_reduce_with_stats, scoped_map, Emitter, IterativeDriver, JobStats, Reservoir,
+};
 use kf_types::{hash, Extraction, ExtractionBatch, GoldStandard, Label};
-
-/// One Stage-I result: `(slot index, probability, fallback flag)`.
-type SlotScore = (usize, Option<f64>, bool);
 
 /// The fusion engine. Construct with a [`FusionConfig`], then call
 /// [`Fuser::run`] on a batch of extractions (optionally with a gold
@@ -134,14 +135,9 @@ impl Fuser {
             let round_start = std::time::Instant::now();
             kf_telemetry::add("fuse.rounds", 1);
             // Stage I: probabilities from current accuracies.
-            let (stage1, s1_stats) = {
+            {
                 let _s1 = kf_telemetry::span("stage1");
-                self.stage_one(&grouped, &offsets, round)
-            };
-            stats.merge(&s1_stats);
-            for (slot, p, fb) in stage1 {
-                probs[slot] = p;
-                fallback_flags[slot] = fb;
+                self.stage_one(&grouped, &offsets, round, &mut probs, &mut fallback_flags);
             }
 
             // VOTE runs a single stage-I pass; no accuracy iteration.
@@ -192,14 +188,19 @@ impl Fuser {
         (output, grouped)
     }
 
-    /// Stage I: compute per-slot probabilities. Returns
-    /// `(slot, probability, fallback_flag)` tuples.
+    /// Stage I: compute every slot's probability and fallback flag from
+    /// the current accuracies. Map-only: grouping already partitioned the
+    /// batch by data item (the paper's Stage I shuffle happened once, at
+    /// build time), so contiguous item ranges score in parallel, each
+    /// writing its own disjoint slice of the slot arrays.
     fn stage_one(
         &self,
         grouped: &Grouped,
         offsets: &[usize],
         round: usize,
-    ) -> (Vec<SlotScore>, JobStats) {
+        mut probs: &mut [Option<f64>],
+        mut fallback_flags: &mut [bool],
+    ) {
         let cfg = &self.config;
         let provs = &grouped.provs;
         let coverage_filtering = cfg.filter_by_coverage;
@@ -221,30 +222,46 @@ impl Fuser {
             true
         };
 
-        let indices: Vec<usize> = (0..grouped.items.len()).collect();
-        let (out, stats) = map_reduce_with_stats(
-            &cfg.mr,
-            &indices,
-            |&gi, emit: &mut Emitter<usize, Vec<SlotScore>>| {
-                let group = &grouped.items[gi];
-                let slot0 = offsets[gi];
-                let results = self.score_item(group, grouped, round, slot0, &active);
-                emit.emit(gi, results);
-            },
-            |_gi, mut vs| vs.pop().into_iter().collect(),
-        );
-        (out.into_iter().flatten().collect(), stats)
+        // Cut the items into at most `workers` contiguous ranges and split
+        // the slot arrays at the matching offsets.
+        let n_items = grouped.items.len();
+        let per_part = n_items.div_ceil(cfg.mr.workers.max(1)).max(1);
+        let mut parts = Vec::new();
+        for start in (0..n_items).step_by(per_part) {
+            let end = (start + per_part).min(n_items);
+            let len = offsets[end] - offsets[start];
+            let (p, rest_p) = std::mem::take(&mut probs).split_at_mut(len);
+            let (f, rest_f) = std::mem::take(&mut fallback_flags).split_at_mut(len);
+            (probs, fallback_flags) = (rest_p, rest_f);
+            parts.push((start..end, p, f));
+        }
+        scoped_map(parts, |(items, probs, fallback_flags)| {
+            let base = offsets[items.start];
+            for gi in items {
+                let slots = offsets[gi] - base..offsets[gi + 1] - base;
+                self.score_item(
+                    &grouped.items[gi],
+                    grouped,
+                    round,
+                    &active,
+                    &mut probs[slots.clone()],
+                    &mut fallback_flags[slots],
+                );
+            }
+        });
     }
 
-    /// Score one data item under the configured method and filters.
+    /// Score one data item under the configured method and filters,
+    /// writing each of its values' probability and fallback flag.
     fn score_item(
         &self,
         group: &ItemGroup,
         grouped: &Grouped,
         round: usize,
-        slot0: usize,
         active: &dyn Fn(u32) -> bool,
-    ) -> Vec<SlotScore> {
+        probs: &mut [Option<f64>],
+        fallback_flags: &mut [bool],
+    ) {
         let cfg = &self.config;
         let provs = &grouped.provs;
 
@@ -263,9 +280,9 @@ impl Fuser {
                 .iter()
                 .any(|v| v.provs.iter().any(|&p| provs.evaluated[p as usize]))
         {
-            return (0..group.values.len())
-                .map(|vi| (slot0 + vi, None, false))
-                .collect();
+            probs.fill(None);
+            fallback_flags.fill(false);
+            return;
         }
 
         // Active provenance lists per value (sampled at L).
@@ -287,64 +304,34 @@ impl Fuser {
             );
         }
 
-        let any_active = counts.iter().any(|&c| c > 0);
-        if !any_active {
-            // Every provenance was filtered. With an accuracy threshold the
-            // paper compensates with the mean accuracy of the triple's own
-            // provenances; with pure coverage filtering there is no
-            // prediction.
-            return group
-                .values
-                .iter()
-                .enumerate()
-                .map(|(vi, vg)| {
-                    let has_evaluated = vg.provs.iter().any(|&p| provs.evaluated[p as usize]);
-                    if cfg.accuracy_threshold.is_some() && has_evaluated {
-                        let mean = vg
-                            .provs
-                            .iter()
-                            .map(|&p| provs.accuracy[p as usize])
-                            .sum::<f64>()
-                            / vg.provs.len() as f64;
-                        (slot0 + vi, Some(mean), true)
-                    } else {
-                        (slot0 + vi, None, false)
-                    }
-                })
-                .collect();
-        }
-
-        let probabilities = match cfg.method {
-            Method::Vote => methods::vote(&counts),
-            Method::Accu => methods::accu(&cands, cfg.n_false_values),
-            Method::PopAccu => methods::popaccu(&cands, &counts, cfg.popaccu_inner_iters),
+        // With every provenance filtered there is nothing to score; each
+        // value takes the fallback below.
+        let probabilities = if counts.iter().all(|&c| c == 0) {
+            Vec::new()
+        } else {
+            match cfg.method {
+                Method::Vote => methods::vote(&counts),
+                Method::Accu => methods::accu(&cands, cfg.n_false_values),
+                Method::PopAccu => methods::popaccu(&cands, &counts, cfg.popaccu_inner_iters),
+            }
         };
 
-        group
-            .values
-            .iter()
-            .enumerate()
-            .map(|(vi, vg)| {
-                if counts[vi] == 0 {
-                    // This value's provenances were all filtered even though
-                    // siblings survived: same fallback policy.
-                    let has_evaluated = vg.provs.iter().any(|&p| provs.evaluated[p as usize]);
-                    if cfg.accuracy_threshold.is_some() && has_evaluated {
-                        let mean = vg
-                            .provs
-                            .iter()
-                            .map(|&p| provs.accuracy[p as usize])
-                            .sum::<f64>()
-                            / vg.provs.len() as f64;
-                        (slot0 + vi, Some(mean), true)
-                    } else {
-                        (slot0 + vi, None, false)
-                    }
-                } else {
-                    (slot0 + vi, Some(probabilities[vi]), false)
-                }
-            })
-            .collect()
+        for (vi, vg) in group.values.iter().enumerate() {
+            (probs[vi], fallback_flags[vi]) = if counts[vi] > 0 {
+                (Some(probabilities[vi]), false)
+            } else if cfg.accuracy_threshold.is_some()
+                && vg.provs.iter().any(|&p| provs.evaluated[p as usize])
+            {
+                // All of this value's provenances were filtered. With an
+                // accuracy threshold the paper compensates with the mean
+                // accuracy of the triple's own provenances; with pure
+                // coverage filtering there is no prediction.
+                let sum: f64 = vg.provs.iter().map(|&p| provs.accuracy[p as usize]).sum();
+                (Some(sum / vg.provs.len() as f64), true)
+            } else {
+                (None, false)
+            };
+        }
     }
 
     /// Stage II: re-estimate provenance accuracies as the mean probability
@@ -371,7 +358,7 @@ impl Fuser {
         let evaluated_snapshot = grouped.provs.evaluated.clone();
 
         let indices: Vec<usize> = (0..items.len()).collect();
-        let (updates, stats) = map_reduce_with_stats(
+        let (mut updates, stats) = map_reduce_with_stats(
             &cfg.mr,
             &indices,
             |&gi, emit: &mut Emitter<u32, f64>| {
@@ -402,6 +389,11 @@ impl Fuser {
             },
         );
 
+        // The engine emits in partition order, and the partition count
+        // follows the worker count: fold in provenance-id order so the
+        // `f64` delta (and the tolerance stop it drives) is the same for
+        // every `--workers`.
+        updates.sort_unstable_by_key(|&(pid, _)| pid);
         let mut delta_sum = 0.0;
         let mut updated = 0usize;
         for (pid, accuracy) in updates {
@@ -569,15 +561,23 @@ mod tests {
                 ..cfg
             })
             .run(&batch, None);
+            // Bit for bit: Stage I writes slots by index and Stage II
+            // folds in provenance-id order, so no `f64` depends on how
+            // the work was split across threads.
             assert_eq!(a.scored.len(), b.scored.len());
             for (x, y) in a.scored.iter().zip(&b.scored) {
                 assert_eq!(x.triple, y.triple);
-                match (x.probability, y.probability) {
-                    (Some(px), Some(py)) => assert!((px - py).abs() < 1e-12),
-                    (None, None) => {}
-                    other => panic!("prediction mismatch: {other:?}"),
-                }
+                assert_eq!(
+                    x.probability.map(f64::to_bits),
+                    y.probability.map(f64::to_bits),
+                    "{:?}: probability of {:?}",
+                    cfg.method,
+                    x.triple
+                );
+                assert_eq!(x.fallback, y.fallback);
             }
+            let bits = |deltas: &[f64]| deltas.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.round_deltas), bits(&b.round_deltas));
         }
     }
 

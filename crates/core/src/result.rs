@@ -36,7 +36,9 @@ pub struct FusionOutput {
     pub round_deltas: Vec<f64>,
     /// Number of provenances at the configured granularity.
     pub n_provenances: usize,
-    /// Merged MapReduce counters across all stages and rounds.
+    /// Merged MapReduce counters of the grouping job and every round's
+    /// Stage II job. Stage I is map-only (no MapReduce job), so it
+    /// contributes nothing here.
     pub stats: JobStats,
 }
 

@@ -1,14 +1,16 @@
 //! Property-based tests for the fusion methods: probabilistic invariants
 //! that must hold for any candidate-set shape — and for the grouping
-//! stage: single-pass, two-pass, chunked and unchunked builds must agree
-//! exactly for any corpus shape.
+//! stage and the whole pipeline: chunked, spilled and multi-worker runs
+//! must agree exactly with the sequential in-memory run for any corpus
+//! shape. (The two-pass grouping oracle is private to `kf-core`, so its
+//! differential proptest lives in `observation.rs`.)
 
 use kf_core::methods::{accu, popaccu, vote};
-use kf_core::Grouped;
+use kf_core::{Fuser, FusionConfig, FusionOutput, Grouped};
 use kf_mapreduce::MrConfig;
 use kf_types::{
-    EntityId, Extraction, ExtractorId, Granularity, PageId, PatternId, PredicateId, Provenance,
-    SiteId, Triple, Value,
+    DataItem, EntityId, Extraction, ExtractorId, GoldStandard, Granularity, PageId, PatternId,
+    PredicateId, Provenance, SiteId, Triple, Value,
 };
 use proptest::prelude::*;
 
@@ -33,6 +35,22 @@ fn arb_batch() -> impl Strategy<Value = Vec<Extraction>> {
                 })
                 .collect()
         },
+    )
+}
+
+/// A fusion output as raw bits: per scored triple its identity,
+/// probability and fallback flag, then the per-round accuracy deltas.
+type OutputBits = (Vec<(Triple, Option<u64>, bool)>, Vec<u64>);
+
+fn bits(out: &FusionOutput) -> OutputBits {
+    let scored = out
+        .scored
+        .iter()
+        .map(|s| (s.triple, s.probability.map(f64::to_bits), s.fallback))
+        .collect();
+    (
+        scored,
+        out.round_deltas.iter().map(|d| d.to_bits()).collect(),
     )
 }
 
@@ -108,34 +126,6 @@ proptest! {
         }
     }
 
-    /// Chunked and unchunked shuffles build identical `Grouped` output for
-    /// any corpus shape, worker count and chunk quota — and both match the
-    /// historical two-pass baseline.
-    #[test]
-    fn grouping_is_invariant_to_chunking_and_passes(
-        batch in arb_batch(),
-        workers in 1usize..7,
-        chunk_records in 1usize..100,
-    ) {
-        let reference = Grouped::build(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::sequential(),
-        );
-        let chunked = Grouped::build(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::with_workers(workers).with_chunk_records(chunk_records),
-        );
-        prop_assert_eq!(&reference, &chunked);
-        let two_pass = Grouped::build_two_pass(
-            &batch,
-            Granularity::ExtractorSitePredicatePattern,
-            &MrConfig::with_workers(workers),
-        );
-        prop_assert_eq!(&reference, &two_pass);
-    }
-
     /// The external shuffle — spilled run files, k-way merged, with the
     /// dedup combiner active — builds exactly the same `Grouped` as the
     /// fully in-memory path, for any corpus shape, worker count, chunk
@@ -161,6 +151,45 @@ proptest! {
                     .with_spill_threshold(spill_threshold),
             );
             prop_assert_eq!(&reference, &spilled, "granularity {:?}", granularity);
+        }
+    }
+
+    /// The whole pipeline — grouping, every Stage I/II round, every
+    /// preset — is bit-identical to the sequential in-memory run under
+    /// any worker count, partition count, chunk quota and spill threshold
+    /// (`0` disables chunking / spilling). Probabilities, fallback flags
+    /// and the per-round accuracy deltas are compared as raw bits.
+    #[test]
+    fn fusion_is_invariant_to_workers_partitions_and_spilling(
+        batch in arb_batch(),
+        workers in 1usize..7,
+        partitions in 1usize..17,
+        chunk_records in 0usize..100,
+        spill_threshold in 0usize..200,
+    ) {
+        let mut gold = GoldStandard::new();
+        for s in 0..20u32 {
+            for p in 0..4u32 {
+                gold.insert(
+                    DataItem::new(EntityId(s), PredicateId(p)),
+                    Value::Entity(EntityId((s + p) % 8)),
+                );
+            }
+        }
+        let mr = MrConfig { partitions, ..MrConfig::with_workers(workers) }
+            .with_chunk_records(chunk_records)
+            .with_spill_threshold(spill_threshold);
+        for cfg in [
+            FusionConfig::vote(),
+            FusionConfig::accu(),
+            FusionConfig::popaccu(),
+            FusionConfig::popaccu_plus_unsup(),
+            FusionConfig::popaccu_plus(),
+        ] {
+            let reference = Fuser::new(FusionConfig { mr: MrConfig::sequential(), ..cfg })
+                .run_records(&batch, Some(&gold));
+            let varied = Fuser::new(FusionConfig { mr, ..cfg }).run_records(&batch, Some(&gold));
+            prop_assert_eq!(bits(&reference), bits(&varied), "{:?} under {:?}", cfg.method, mr);
         }
     }
 

@@ -28,6 +28,7 @@
 //! runs replay in spill order, which preserves exactly that order. The
 //! design is documented in the repository's `ARCHITECTURE.md`.
 
+use crate::scoped::scoped_map;
 use crate::spill::{merge_reduce_runs, write_run, SpillDir};
 use crate::stats::JobStats;
 use kf_types::hash::hash_one;
@@ -546,37 +547,14 @@ where
     V: Send,
     M: Fn(&I, &mut Emitter<K, V>) + Sync,
 {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
     let chunk_size = inputs.len().div_ceil(workers).max(1);
-    if workers == 1 || inputs.len() <= chunk_size {
-        // Single chunk: run inline, no thread spawn.
+    scoped_map(inputs.chunks(chunk_size).collect(), |chunk| {
         let mut emitter = Emitter::new(partitions);
-        for input in inputs {
+        for input in chunk {
             mapper(input, &mut emitter);
         }
-        return vec![emitter];
-    }
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut emitter = Emitter::new(partitions);
-                    for input in chunk {
-                        mapper(input, &mut emitter);
-                    }
-                    emitter
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("map worker panicked"));
-        }
-    });
-    out
+        emitter
+    })
 }
 
 /// One-shot shuffle: map everything, then concatenate each partition's
@@ -892,40 +870,30 @@ where
             }
         }
     }
-    if workers == 1 || partitions == 1 || wave_records < PARALLEL_MERGE_THRESHOLD {
+    let per_part = if workers > 1 && wave_records >= PARALLEL_MERGE_THRESHOLD {
+        partitions.div_ceil(workers)
+    } else {
+        partitions
+    };
+    let mut tasks = groups.iter_mut().zip(per_partition);
+    let parts: Vec<Vec<_>> = std::iter::from_fn(|| {
+        let part: Vec<_> = tasks.by_ref().take(per_part).collect();
+        (!part.is_empty()).then_some(part)
+    })
+    .collect();
+    scoped_map(parts, |part| {
         let (mut delta, mut combines) = (0i64, 0u64);
-        for (group, bufs) in groups.iter_mut().zip(per_partition) {
+        for (group, bufs) in part {
             let (d, c) = merge_buffers(group, bufs, combiner);
             delta += d;
             combines += c;
         }
-        return (delta, combines);
-    }
-    type MergeTask<'a, K, V> = (&'a mut Groups<K, V>, Vec<Vec<(K, V)>>);
-    let mut tasks: Vec<MergeTask<'_, K, V>> = groups.iter_mut().zip(per_partition).collect();
-    let per_worker = tasks.len().div_ceil(workers).max(1);
-    let (mut delta, mut combines) = (0i64, 0u64);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        while !tasks.is_empty() {
-            let chunk: Vec<_> = tasks.drain(..per_worker.min(tasks.len())).collect();
-            handles.push(scope.spawn(move || {
-                let (mut local, mut local_combines) = (0i64, 0u64);
-                for (group, bufs) in chunk {
-                    let (d, c) = merge_buffers(group, bufs, combiner);
-                    local += d;
-                    local_combines += c;
-                }
-                (local, local_combines)
-            }));
-        }
-        for h in handles {
-            let (d, c) = h.join().expect("merge worker panicked");
-            delta += d;
-            combines += c;
-        }
-    });
-    (delta, combines)
+        (delta, combines)
+    })
+    .into_iter()
+    .fold((0, 0), |(delta, combines), (d, c)| {
+        (delta + d, combines + c)
+    })
 }
 
 /// Append raw buffers into a group accumulator, combining any group whose

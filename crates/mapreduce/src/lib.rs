@@ -30,7 +30,11 @@
 //! * [`IterativeDriver`] — round iteration with convergence detection and
 //!   forced termination after `R` rounds (§4.1, Fig. 14),
 //! * [`JobStats`] — counters for observability, the scaling benches, and
-//!   the memory-envelope gates.
+//!   the memory-envelope gates,
+//! * [`scoped_map`] — the one scoped-parallel primitive behind the map
+//!   and merge phases and the fusion pipeline's map-only passes: run a
+//!   closure over caller-cut parts, one scoped thread each, results in
+//!   part order.
 //!
 //! The engine is deterministic: given the same inputs, configuration and
 //! (pure) mapper/reducer functions, output order and content are reproducible
@@ -44,6 +48,7 @@ pub mod driver;
 pub mod engine;
 pub mod job;
 pub mod sampling;
+mod scoped;
 mod spill;
 pub mod stats;
 
@@ -54,4 +59,5 @@ pub use engine::{
 };
 pub use job::{round_robin, JobDescription};
 pub use sampling::Reservoir;
+pub use scoped::scoped_map;
 pub use stats::JobStats;

@@ -1,6 +1,8 @@
-//! The scaling story: run the three-stage MapReduce fusion pipeline over
-//! the large corpus preset with explicit worker counts and inspect the
-//! engine's execution counters (the paper's Fig. 8 architecture) —
+//! The scaling story: run the fusion pipeline over the large corpus
+//! preset with explicit worker counts and inspect the engine's execution
+//! counters (the paper's Fig. 8 architecture: one grouping job that
+//! partitions by data item, then per round a map-only Stage I over that
+//! partition and a Stage II MapReduce job keyed by provenance) —
 //! including a forced spill-to-disk run proving the external shuffle
 //! reproduces the in-memory output byte-for-byte under a bounded memory
 //! envelope.
