@@ -7,8 +7,9 @@
 //! them (plus a `thrpt:` variant the script also understands):
 //!
 //! ```text
-//! serve/p99/paper/t4      time: [1.2 µs 1.4 µs 1.9 µs]  (5 windows)
-//! serve/qps/paper/t4      thrpt: [812345.0 q/s 823456.0 q/s 834567.0 q/s]  (5 windows)
+//! serve/p99/paper/t4          time: [1.2 µs 1.4 µs 1.9 µs]  (5 windows)
+//! serve/p99/paper/t4/belief   time: [0.9 µs 1.0 µs 1.1 µs]  (5 windows)
+//! serve/qps/paper/t4          thrpt: [812345.0 q/s 823456.0 q/s 834567.0 q/s]  (5 windows)
 //! ```
 //!
 //! Methodology: per (scale, client-count) cell, `WINDOWS` measurement
@@ -23,7 +24,10 @@
 //! error of the exact pooled-sort p99 — asserted by a test in
 //! `tests/trace.rs`). The row is min / mean / max across windows. One
 //! query = one read API call; clients cycle a lookup / belief / top-k /
-//! drill-down mix over strided rows. On a single-core machine the
+//! drill-down mix over strided rows. Next to the blended p99 row, each
+//! cell prints one `serve/p99/<scale>/t<c>/<kind>` row per query kind,
+//! so a blended tail cannot hide which kind it comes from. On a
+//! single-core machine the
 //! multi-client cells measure contention and scheduler fairness, not
 //! parallel speedup — the interesting signal is that p99 degrades
 //! gracefully and qps stays near the single-client number.
@@ -41,6 +45,8 @@ const WINDOWS: usize = 5;
 /// Total queries per window, split across the window's clients.
 const WINDOW_QUERIES: u64 = 80_000;
 const CLIENTS: [usize; 3] = [1, 4, 16];
+/// Query kinds in mix order: query `q` is of kind `KINDS[q % 4]`.
+const KINDS: [&str; 4] = ["lookup", "belief", "top_k", "drilldown"];
 
 /// One query = one read API call. Returns a value to fold into a sink
 /// so the optimiser cannot elide the read.
@@ -66,33 +72,39 @@ fn query(reader: &KbReader, q: u64, n_rows: u32) -> u64 {
 
 struct Window {
     p99_ns: f64,
+    /// p99 per query kind, in [`KINDS`] order.
+    kind_p99_ns: [f64; 4],
     qps: f64,
 }
 
+fn latency_hist() -> HistogramSnapshot {
+    HistogramSnapshot::empty("serve.latency_ns", HistKind::Time)
+}
+
 /// Run one measurement window: `clients` threads share the reader and
-/// the query budget; per-client latency histograms merge into the
-/// window's pooled distribution (the same bucket-wise algebra shard
-/// traces use), whose p99 reads straight from a bucket bound — no
+/// the query budget; per-client, per-kind latency histograms merge into
+/// the window's pooled distributions (the same bucket-wise algebra shard
+/// traces use), whose p99s read straight from a bucket bound — no
 /// pooled sample buffer, no sort.
 fn run_window(reader: &KbReader, clients: usize, queries: u64) -> Window {
     let n_rows = reader.kb().n_triples() as u32;
     let per_client = queries / clients as u64;
     let start = Instant::now();
-    let client_hists: Vec<HistogramSnapshot> = std::thread::scope(|scope| {
+    let client_hists: Vec<[HistogramSnapshot; 4]> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let reader = reader.clone();
                 scope.spawn(move || {
-                    let mut hist = HistogramSnapshot::empty("serve.latency_ns", HistKind::Time);
+                    let mut hists: [HistogramSnapshot; 4] = std::array::from_fn(|_| latency_hist());
                     let mut sink = 0u64;
                     let base = c as u64 * per_client;
-                    for i in 0..per_client {
+                    for q in base..base + per_client {
                         let t = Instant::now();
-                        sink ^= query(&reader, base + i, n_rows);
-                        hist.record(t.elapsed().as_nanos() as u64);
+                        sink ^= query(&reader, q, n_rows);
+                        hists[(q % 4) as usize].record(t.elapsed().as_nanos() as u64);
                     }
                     std::hint::black_box(sink);
-                    hist
+                    hists
                 })
             })
             .collect();
@@ -102,14 +114,31 @@ fn run_window(reader: &KbReader, clients: usize, queries: u64) -> Window {
             .collect()
     });
     let elapsed = start.elapsed();
-    let mut pooled = HistogramSnapshot::empty("serve.latency_ns", HistKind::Time);
-    for h in &client_hists {
+    let mut by_kind: [HistogramSnapshot; 4] = std::array::from_fn(|_| latency_hist());
+    for hists in &client_hists {
+        for (pooled, h) in by_kind.iter_mut().zip(hists) {
+            pooled.merge(h);
+        }
+    }
+    let mut pooled = latency_hist();
+    for h in &by_kind {
         pooled.merge(h);
     }
     Window {
         p99_ns: pooled.quantile(0.99) as f64,
+        kind_p99_ns: std::array::from_fn(|k| by_kind[k].quantile(0.99) as f64),
         qps: pooled.count as f64 / elapsed.as_secs_f64(),
     }
+}
+
+fn print_time_row(id: &str, values: impl Iterator<Item = f64>) {
+    let (min, mean, max) = stats(values);
+    println!(
+        "{id:<40} time: [{} {} {}]  ({WINDOWS} windows)",
+        fmt_ns(min),
+        fmt_ns(mean),
+        fmt_ns(max),
+    );
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -132,6 +161,16 @@ fn stats(values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
     (min, mean, max)
 }
 
+/// Whether a substring filter selects any row of one cell: its blended
+/// p99, per-kind p99 or qps row.
+fn cell_selected(filter: Option<&str>, p99_id: &str, qps_id: &str) -> bool {
+    filter.is_none_or(|f| {
+        qps_id.contains(f)
+            || p99_id.contains(f)
+            || KINDS.iter().any(|k| format!("{p99_id}/{k}").contains(f))
+    })
+}
+
 fn bench_scale(label: &str, config: &SynthConfig, filter: Option<&str>) {
     let ids: Vec<(usize, String, String)> = CLIENTS
         .iter()
@@ -143,10 +182,8 @@ fn bench_scale(label: &str, config: &SynthConfig, filter: Option<&str>) {
             )
         })
         .collect();
-    if let Some(f) = filter {
-        if !ids.iter().any(|(_, p, q)| p.contains(f) || q.contains(f)) {
-            return;
-        }
+    if !ids.iter().any(|(_, p, q)| cell_selected(filter, p, q)) {
+        return;
     }
 
     eprintln!("[serve bench] building {label} corpus + KB …");
@@ -164,24 +201,22 @@ fn bench_scale(label: &str, config: &SynthConfig, filter: Option<&str>) {
     let reader = KbReader::new(kb);
 
     for (clients, p99_id, qps_id) in ids {
-        if let Some(f) = filter {
-            if !p99_id.contains(f) && !qps_id.contains(f) {
-                continue;
-            }
+        if !cell_selected(filter, &p99_id, &qps_id) {
+            continue;
         }
         // Warm-up window (faults pages in, primes the branch predictors).
         run_window(&reader, clients, WINDOW_QUERIES / 4);
         let windows: Vec<Window> = (0..WINDOWS)
             .map(|_| run_window(&reader, clients, WINDOW_QUERIES))
             .collect();
-        let (p_min, p_mean, p_max) = stats(windows.iter().map(|w| w.p99_ns));
+        print_time_row(&p99_id, windows.iter().map(|w| w.p99_ns));
+        for (k, kind) in KINDS.iter().enumerate() {
+            print_time_row(
+                &format!("{p99_id}/{kind}"),
+                windows.iter().map(|w| w.kind_p99_ns[k]),
+            );
+        }
         let (q_min, q_mean, q_max) = stats(windows.iter().map(|w| w.qps));
-        println!(
-            "{p99_id:<40} time: [{} {} {}]  ({WINDOWS} windows)",
-            fmt_ns(p_min),
-            fmt_ns(p_mean),
-            fmt_ns(p_max),
-        );
         println!(
             "{qps_id:<40} thrpt: [{q_min:.1} q/s {q_mean:.1} q/s {q_max:.1} q/s]  ({WINDOWS} windows)",
         );

@@ -11,7 +11,9 @@
 //!
 //! * **item index** — contiguous runs of `(subject, predicate)` over the
 //!   triple columns, binary-searchable, so a belief-distribution lookup
-//!   is two `partition_point`s and a slice;
+//!   is two `partition_point`s and a slice, plus each item's calibrated
+//!   argmax row (derived at compile and at decode, never persisted), so
+//!   the item's single-truth answer is one row read;
 //! * **predicate index** — a per-predicate permutation of triple rows
 //!   ordered by calibrated confidence (descending, ties broken by
 //!   canonical triple order), so top-k is a slice of precomputed ranks;
@@ -138,6 +140,9 @@ pub struct FusedKb {
     pub(crate) item_predicates: Vec<u32>,
     /// `item_offsets[i]..item_offsets[i + 1]` is item `i`'s row range.
     pub(crate) item_offsets: Vec<u32>,
+    /// Item `i`'s most confident row, derived by `derive_item_best`; not
+    /// part of the checkpoint.
+    pub(crate) item_best: Vec<u32>,
 
     // --- predicate index: per-predicate confidence ranking ----------
     pub(crate) pred_ids: Vec<u32>,
@@ -352,6 +357,7 @@ impl FusedKb {
             item_subjects: Vec::new(),
             item_predicates: Vec::new(),
             item_offsets: vec![0],
+            item_best: Vec::new(),
             pred_ids: Vec::new(),
             pred_offsets: Vec::new(),
             rank: Vec::new(),
@@ -424,7 +430,29 @@ impl FusedKb {
             kb.rank.push(row);
         }
         kb.pred_offsets.push(kb.rank.len() as u32);
+        kb.derive_item_best();
         kb
+    }
+
+    /// Fill `item_best` from the item index: each item's calibrated
+    /// argmax by strict `>` over its rows in canonical order, so the
+    /// first row wins a tie and a NaN never displaces the running best.
+    /// Runs at compile and after decode validation (offsets in range).
+    fn derive_item_best(&mut self) {
+        let calibrated = &self.calibrated;
+        self.item_best = self
+            .item_offsets
+            .windows(2)
+            .map(|w| {
+                (w[0] + 1..w[1]).fold(w[0], |best, row| {
+                    if calibrated[row as usize] > calibrated[best as usize] {
+                        row
+                    } else {
+                        best
+                    }
+                })
+            })
+            .collect();
     }
 
     /// Number of served triples.
@@ -536,11 +564,24 @@ impl FusedKb {
         if k == 0 && n > 0 {
             return false;
         }
-        let mut seen = vec![false; n];
-        for &row in &self.rank {
-            match seen.get_mut(row as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return false,
+        // Predicate index content: group `i` holds only in-range rows of
+        // predicate `pred_ids[i]`, in compile order (calibrated descending
+        // by `total_cmp`, then row ascending). Strict order keeps a group's
+        // rows distinct and membership keeps groups disjoint, so the `n`
+        // entries are a permutation of the rows.
+        let in_order = |a: u32, b: u32| {
+            let (ca, cb) = (self.calibrated[a as usize], self.calibrated[b as usize]);
+            cb.total_cmp(&ca).then(a.cmp(&b)).is_lt()
+        };
+        for (i, &pred) in self.pred_ids.iter().enumerate() {
+            let group =
+                &self.rank[self.pred_offsets[i] as usize..self.pred_offsets[i + 1] as usize];
+            if !group
+                .iter()
+                .all(|&row| (row as usize) < n && self.predicates[row as usize] == pred)
+                || !group.windows(2).all(|w| in_order(w[0], w[1]))
+            {
+                return false;
             }
         }
         // Provenance registry: aligned columns, in-range ids, monotone
@@ -596,7 +637,7 @@ impl KvCodec for FusedKb {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let kb = FusedKb {
+        let mut kb = FusedKb {
             corpus: CorpusSummary::decode(input)?,
             method: String::decode(input)?,
             method_label: String::decode(input)?,
@@ -617,6 +658,7 @@ impl KvCodec for FusedKb {
             item_subjects: decode_column(input)?,
             item_predicates: decode_column(input)?,
             item_offsets: decode_column(input)?,
+            item_best: Vec::new(),
             pred_ids: decode_column(input)?,
             pred_offsets: decode_column(input)?,
             rank: decode_column(input)?,
@@ -627,7 +669,11 @@ impl KvCodec for FusedKb {
             prov_ids: decode_column(input)?,
             extractor_names: Vec::decode(input)?,
         };
-        kb.validate().then_some(kb)
+        if !kb.validate() {
+            return None;
+        }
+        kb.derive_item_best();
+        Some(kb)
     }
 }
 
@@ -695,6 +741,76 @@ mod tests {
         assert!(duped.rank.len() >= 2);
         duped.rank[1] = duped.rank[0];
         assert!(reencode_decodes(&duped).is_none());
+    }
+
+    /// A rank that is still a permutation but out of compile order is
+    /// caught: swapping the first and last entries moves rows across
+    /// predicates, swapping the first two reorders one predicate's group.
+    #[test]
+    fn reordered_rank_fails_decode() {
+        let kb = fixture();
+        assert!(kb.n_predicates() >= 2 && kb.pred_offsets[1] >= 2);
+        let last = kb.rank.len() - 1;
+        for (a, b) in [(0, last), (0, 1)] {
+            let mut swapped = kb.clone();
+            swapped.rank.swap(a, b);
+            assert!(reencode_decodes(&swapped).is_none(), "swap ({a}, {b})");
+        }
+    }
+
+    /// Equal calibrated confidences within one item: `best()` is the
+    /// first tied row in canonical order, and the argmax derived at
+    /// decode equals the one derived at compile.
+    #[test]
+    fn best_tie_goes_to_first_canonical_row() {
+        let corpus = Corpus::generate(&SynthConfig::tiny(), 9);
+        let preset = Preset::PopAccuPlus;
+        let (mut output, attribution) =
+            Fuser::new(preset.config()).run_with_attribution(&corpus.batch, Some(&corpus.gold));
+        // Give every predicted candidate of the first multi-candidate
+        // item the same probability, hence the same calibrated value.
+        let mut predicted: Vec<usize> = (0..output.scored.len())
+            .filter(|&i| output.scored[i].probability.is_some())
+            .collect();
+        predicted.sort_by_key(|&i| output.scored[i].triple);
+        let item = |i: usize| {
+            let t = output.scored[i].triple;
+            (t.subject, t.predicate)
+        };
+        let first = predicted
+            .windows(2)
+            .find(|w| item(w[0]) == item(w[1]))
+            .expect("tiny corpus has a multi-candidate item")[0];
+        let key = item(first);
+        let tied: Vec<usize> = predicted.into_iter().filter(|&i| item(i) == key).collect();
+        for &i in &tied {
+            output.scored[i].probability = Some(0.9);
+        }
+        let runner = AblationRunner::default();
+        let method = runner.evaluate(preset, &output, &corpus.gold, 0.0);
+        let kb = FusedKb::compile_from_parts(
+            runner.corpus_summary(&corpus),
+            &method,
+            &output,
+            &attribution,
+            &corpus.gold,
+            Vec::new(),
+        );
+
+        let decoded = reencode_decodes(&kb).expect("tied KB roundtrips");
+        assert_eq!(decoded, kb, "decode re-derives the same item_best");
+        let reader = crate::KbReader::new(decoded);
+        let belief = reader
+            .belief(kf_types::DataItem {
+                subject: key.0,
+                predicate: key.1,
+            })
+            .expect("item served");
+        assert_eq!(belief.len(), tied.len());
+        assert!(belief
+            .iter()
+            .all(|v| v.calibrated == belief.get(0).calibrated));
+        assert_eq!(belief.best(), belief.get(0));
     }
 
     /// The calibration lookup mirrors curve construction: a probability

@@ -23,6 +23,17 @@
 //! counts subtract saturating, distributions subtract bucket-wise — and
 //! a [`SnapshotRing`] keeps the recent polls a watcher diffs.
 //!
+//! # What a latency timer covers
+//!
+//! Each timer runs from a read call's entry to its return: the index
+//! search and the construction of the returned view. For a belief that
+//! is the item lookup, which also picks up the item's precomputed best
+//! row; [`Belief::best`](crate::Belief::best) after the call is one
+//! untimed row copy, the same for every item. Iterating a full belief
+//! distribution, top-k list or drill-down is not timed; its length is
+//! recorded in the kind's result-size histogram
+//! (`serve.result_size.<kind>`).
+//!
 //! # Determinism
 //!
 //! Latency histograms are [`HistKind::Time`]: their observation counts

@@ -62,6 +62,7 @@ pub struct Belief<'a> {
     kb: &'a FusedKb,
     start: usize,
     end: usize,
+    best: u32,
 }
 
 /// The top-k ranked triples of one predicate, most confident first.
@@ -149,6 +150,12 @@ impl KbReader {
 
     /// The belief distribution of `(subject, predicate)`, or `None` when
     /// the KB has no prediction for the item.
+    ///
+    /// The belief latency metric times the item lookup, which also picks
+    /// up the item's precomputed best row; [`Belief::best`] afterwards is
+    /// one untimed row copy. Iterating the full distribution is not
+    /// timed; its length is recorded as the result size
+    /// (`serve.result_size.belief`).
     pub fn belief(&self, item: DataItem) -> Option<Belief<'_>> {
         let timer = MetricTimer::start(self.metrics.as_deref(), QueryKind::Belief);
         add("serve.query", 1);
@@ -166,6 +173,7 @@ impl KbReader {
             kb,
             start: kb.item_offsets[i] as usize,
             end: kb.item_offsets[i + 1] as usize,
+            best: kb.item_best[i],
         };
         timer.finish(true, belief.len() as u64);
         Some(belief)
@@ -297,15 +305,10 @@ impl<'a> Belief<'a> {
     }
 
     /// The most confident candidate (calibrated descending, ties in
-    /// canonical order).
+    /// canonical order). O(1): the argmax row is precomputed per item
+    /// when the KB is compiled or decoded.
     pub fn best(&self) -> TripleView {
-        let mut best = self.get(0);
-        for v in self.iter().skip(1) {
-            if v.calibrated > best.calibrated {
-                best = v;
-            }
-        }
-        best
+        view_at(self.kb, self.best)
     }
 }
 

@@ -119,7 +119,10 @@ fn check_oracle(cfg: &SynthConfig, seed: u64, preset: Preset) {
         assert!(reader.drilldown(&st.triple).is_none());
     }
 
-    check_roundtrip(reader.kb(), seed);
+    // The argmax behind `best()` is re-derived at decode, not read from
+    // the checkpoint: hold the reopened KB to the same oracle.
+    let reopened = KbReader::new(check_roundtrip(reader.kb(), seed));
+    check_beliefs(&reopened, &expected);
 }
 
 /// Point lookups + provenance drill-down for every served row.
@@ -243,8 +246,8 @@ fn check_rankings(
 }
 
 /// Checkpoint roundtrip: encoded bytes are canonical and survive
-/// save/load exactly.
-fn check_roundtrip(kb: &FusedKb, seed: u64) {
+/// save/load exactly. Returns the KB loaded back from disk.
+fn check_roundtrip(kb: &FusedKb, seed: u64) -> FusedKb {
     let mut bytes = Vec::new();
     kb.encode(&mut bytes);
     let decoded = FusedKb::decode(&mut &bytes[..]).expect("decodes");
@@ -258,6 +261,7 @@ fn check_roundtrip(kb: &FusedKb, seed: u64) {
     let loaded = FusedKb::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(&loaded, kb);
+    loaded
 }
 
 proptest! {
@@ -390,7 +394,8 @@ fn paper_scale_oracle_gate() {
     check_rows(&reader, &expected, curve, &corpus, &attribution);
     check_beliefs(&reader, &expected);
     check_rankings(&reader, &expected, curve);
-    check_roundtrip(reader.kb(), corpus.seed);
+    let reopened = KbReader::new(check_roundtrip(reader.kb(), corpus.seed));
+    check_beliefs(&reopened, &expected);
 }
 
 /// The worked example in the README's "Querying a fused KB" section:
