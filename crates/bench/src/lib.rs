@@ -20,10 +20,12 @@ pub use scenarios::{
     ScenarioRow, SCENARIO_NAMES,
 };
 
+use kf_core::Grouped;
 use kf_diagnose::{DiagnoseConfig, Diagnoser, SupportIndex};
 use kf_eval::{AblationRunner, EvalReport, MethodEval, Preset};
 use kf_mapreduce::MrConfig;
 use kf_synth::{Corpus, SynthConfig};
+use kf_telemetry::{SpanNode, TraceReport};
 use kf_types::TaskSpec;
 use std::time::Instant;
 
@@ -649,6 +651,45 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
     })
 }
 
+/// A grouping that every preset of one granularity in a run fuses over,
+/// with the trace its one build left.
+struct SharedGrouping {
+    grouped: Grouped,
+    /// `method > fuse > group`, as a [`kf_core::Fuser::run`] of one preset
+    /// would trace it: the build's spans, calls and counters, with its
+    /// span times split evenly among the presets that fuse over it. A preset's
+    /// own trace merges into a clone, so each method trace holds the
+    /// grouping it used whichever preset built it, and the whole-run
+    /// trace's times still add up to the wall clock.
+    share: TraceReport,
+}
+
+impl SharedGrouping {
+    fn build(corpus: &Corpus, config: &kf_core::FusionConfig, users: u64) -> SharedGrouping {
+        fn split(node: &mut SpanNode, users: u64) {
+            node.total_ns /= users;
+            node.children.iter_mut().for_each(|c| split(c, users));
+        }
+        let trace = kf_telemetry::Trace::with_root("method");
+        let grouped = {
+            let _installed = kf_telemetry::install(&trace);
+            let _fuse = kf_telemetry::span("fuse");
+            Grouped::build(&corpus.batch.records, config.granularity, &config.mr)
+        };
+        let mut share = trace.snapshot();
+        split(&mut share.root, users);
+        // The preset's own trace brings the `method` and `fuse` calls.
+        share.root.calls = 0;
+        share.root.children[0].calls = 0;
+        SharedGrouping { grouped, share }
+    }
+
+    /// The build time charged to each preset, in milliseconds.
+    fn share_ms(&self) -> f64 {
+        self.share.root.children[0].total_ns as f64 / 1e6
+    }
+}
+
 /// [`run`] over an existing corpus.
 ///
 /// Per preset: fuse (with provenance attribution when diagnosing),
@@ -656,7 +697,11 @@ pub fn build_diagnosis_context(opts: &ReproOptions, corpus: &Corpus) -> Option<D
 /// `kf-diagnose` error-taxonomy pass so every method's report section
 /// carries the Fig. 17 breakdown plus the heuristic-vs-injected confusion
 /// matrix. The batch-level support index and generator-truth join are
-/// computed once ([`build_diagnosis_context`]) and shared by all presets.
+/// computed once ([`build_diagnosis_context`]) and shared by all presets,
+/// and so is each provenance granularity's grouping: it is built once,
+/// before the first preset that fuses at it. Each preset's trace and
+/// `fuse_ms` carry that build's spans and counters, with its time split
+/// evenly among the presets that share it.
 ///
 /// Every preset runs under a fresh `kf-telemetry` trace; the resulting
 /// span tree and counters are attached as [`MethodEval::trace`], so
@@ -685,56 +730,77 @@ pub fn run_on_corpus_with_context(
         scale: opts.scale.clone(),
         ..Default::default()
     };
-    let methods: Vec<MethodEval> = opts
+    let configs: Vec<kf_core::FusionConfig> = opts
         .presets
         .iter()
-        .map(|&preset| {
-            let run_one = || -> MethodEval {
-                // Without diagnosis the ablation runner's plain path
-                // applies — no provenance attribution is built.
-                let Some(ctx) = diagnosis else {
-                    return runner.run_preset(corpus, preset);
-                };
-                let mut config = preset.config();
-                if let Some(w) = opts.workers {
-                    config = config.with_workers(w);
-                }
-                let gold = preset.needs_gold().then_some(&corpus.gold);
-                let start = Instant::now();
-                let (output, attribution) =
-                    kf_core::Fuser::new(config).run_with_attribution(&corpus.batch, gold);
-                let fuse_ms = start.elapsed().as_secs_f64() * 1e3;
-                let mut method: MethodEval =
-                    runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
-                let taxonomy = {
-                    let _span = kf_telemetry::span("diagnose");
-                    let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
-                        .with_truth(&ctx.truth)
-                        .with_scenario(&ctx.scenario)
-                        .with_attribution(&attribution)
-                        .with_extractor_labels(&ctx.labels)
-                        .with_config(DiagnoseConfig {
-                            mr: ctx.mr,
-                            ..Default::default()
-                        })
-                        .run(&output);
-                    taxonomy
-                };
-                method.taxonomy = Some(taxonomy);
-                method
-            };
-            // Each preset runs under its own trace (shadowing any
-            // process-level one), so the shard a preset happens to run in
-            // never changes what its trace records.
-            let trace = kf_telemetry::Trace::with_root("method");
-            let mut method = {
-                let _installed = kf_telemetry::install(&trace);
-                run_one()
-            };
-            method.trace = Some(trace.snapshot());
-            method
+        .map(|preset| {
+            let config = preset.config();
+            opts.workers.map_or(config, |w| config.with_workers(w))
         })
         .collect();
+    // Presets that share a provenance granularity fuse over one grouping,
+    // built before the first of them and dropped after the last: in
+    // ablation order one is alive at a time.
+    let mut groupings: Vec<SharedGrouping> = Vec::new();
+    let mut methods = Vec::with_capacity(configs.len());
+    for (i, (&preset, config)) in opts.presets.iter().zip(&configs).enumerate() {
+        let granularity = config.granularity;
+        let at = |g: &SharedGrouping| g.grouped.granularity == granularity;
+        if !groupings.iter().any(at) {
+            let users = configs.iter().filter(|c| c.granularity == granularity);
+            groupings.push(SharedGrouping::build(corpus, config, users.count() as u64));
+        }
+        let shared = groupings.iter().find(|g| at(g)).expect("built above");
+        let grouped = &shared.grouped;
+        let run_one = || -> MethodEval {
+            let fuser = kf_core::Fuser::new(*config);
+            let gold = preset.needs_gold().then_some(&corpus.gold);
+            let start = Instant::now();
+            // Without diagnosis no provenance attribution is built.
+            let Some(ctx) = diagnosis else {
+                let output = fuser.fuse(grouped, gold);
+                let fuse_ms = shared.share_ms() + start.elapsed().as_secs_f64() * 1e3;
+                return runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
+            };
+            let (output, attribution) = fuser.fuse_with_attribution(grouped, gold);
+            let fuse_ms = shared.share_ms() + start.elapsed().as_secs_f64() * 1e3;
+            let mut method: MethodEval = runner.evaluate(preset, &output, &corpus.gold, fuse_ms);
+            let taxonomy = {
+                let _span = kf_telemetry::span("diagnose");
+                let (taxonomy, _) = Diagnoser::new(&corpus.gold, &corpus.world, &ctx.support)
+                    .with_truth(&ctx.truth)
+                    .with_scenario(&ctx.scenario)
+                    .with_attribution(&attribution)
+                    .with_extractor_labels(&ctx.labels)
+                    .with_config(DiagnoseConfig {
+                        mr: ctx.mr,
+                        ..Default::default()
+                    })
+                    .run(&output);
+                taxonomy
+            };
+            method.taxonomy = Some(taxonomy);
+            method
+        };
+        // Each preset runs under its own trace (shadowing any
+        // process-level one), so the shard a preset happens to run in, or
+        // the presets before it, never change what its trace records.
+        let trace = kf_telemetry::Trace::with_root("method");
+        let mut method = {
+            let _installed = kf_telemetry::install(&trace);
+            run_one()
+        };
+        let mut method_trace = shared.share.clone();
+        method_trace.merge(&trace.snapshot());
+        method.trace = Some(method_trace);
+        methods.push(method);
+        if configs[i + 1..]
+            .iter()
+            .all(|c| c.granularity != granularity)
+        {
+            groupings.retain(|g| !at(g));
+        }
+    }
     let mut report = EvalReport {
         corpus: runner.corpus_summary(corpus),
         methods,

@@ -131,3 +131,69 @@ proptest! {
         }
     }
 }
+
+/// Presets share one grouping per granularity: the order the presets run
+/// in, and so which grouping is alive when and which preset built it,
+/// must not reach any method's results or trace.
+#[test]
+fn method_results_and_traces_ignore_preset_order() {
+    use kf_telemetry::{SpanNode, Trace};
+    fn has_span(node: &SpanNode, name: &str) -> bool {
+        node.name == name || node.children.iter().any(|c| has_span(c, name))
+    }
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 5);
+    // The two granularities alternate, so both groupings are alive at once.
+    let interleaved = [
+        Preset::Vote,
+        Preset::PopAccuPlusUnsup,
+        Preset::Accu,
+        Preset::PopAccuPlus,
+        Preset::PopAccu,
+    ];
+    for diagnose in [true, false] {
+        let opts = ReproOptions {
+            diagnose,
+            ..options(5)
+        };
+        let ablation = run_on_corpus(&opts, &corpus);
+        let process = Trace::with_root("run");
+        let run_interleaved = |deterministic| {
+            let _installed = kf_telemetry::install(&process);
+            run_on_corpus(
+                &ReproOptions {
+                    presets: interleaved.to_vec(),
+                    deterministic,
+                    ..opts.clone()
+                },
+                &corpus,
+            )
+        };
+        let shuffled = run_interleaved(true);
+        for preset in interleaved {
+            let got = shuffled.method(preset.name()).expect("preset ran");
+            assert_eq!(Some(got), ablation.method(preset.name()), "{}", got.name);
+            let fuse = got.trace.as_ref().and_then(|t| t.root.child("fuse"));
+            let group = fuse.and_then(|f| f.child("group"));
+            assert_eq!(group.map(|g| g.calls), Some(1), "{}", got.name);
+        }
+        // The builds leave nothing on the caller's trace.
+        let spans = process.snapshot().root;
+        assert!(!has_span(&spans, "group") && !has_span(&spans, "fuse"));
+
+        // Two builds, not five: every preset of a granularity carries the
+        // same share of one build's time, which separate builds would not.
+        let timed = run_interleaved(false);
+        let group_ns = |preset: Preset| {
+            let trace = timed.method(preset.name()).and_then(|m| m.trace.as_ref());
+            let group = trace.and_then(|t| t.root.child("fuse")?.child("group"));
+            group.expect("group span").total_ns
+        };
+        assert!(group_ns(Preset::Vote) > 0);
+        assert_eq!(group_ns(Preset::Vote), group_ns(Preset::Accu));
+        assert_eq!(group_ns(Preset::Vote), group_ns(Preset::PopAccu));
+        assert_eq!(
+            group_ns(Preset::PopAccuPlus),
+            group_ns(Preset::PopAccuPlusUnsup)
+        );
+    }
+}

@@ -3,15 +3,16 @@
 //!
 //! This is Stage I's shuffle (map by data item) plus the provenance
 //! dimension-reduction of §4.1 — an *(Extractor, URL)* pair (or a coarser /
-//! finer key, §4.3.1) becomes a dense integer id with an accuracy slot.
-//! The grouping is built once per fusion run with a **single** MapReduce
-//! pass ([`Grouped::build`]): the mapper emits the full [`ProvenanceKey`]
+//! finer key, §4.3.1) becomes a dense integer id.
+//! The grouping is built with a **single** MapReduce pass
+//! ([`Grouped::build`]): the mapper emits the full [`ProvenanceKey`]
 //! alongside each observation, and the dense sorted ids are assigned in a
 //! post-reduce renumbering step, so each extraction's provenance key is
 //! projected and hashed once instead of twice (the historical two-pass
-//! scheme survives only as this module's test oracle). The grouping is
-//! then shared (read-only) by all rounds; only the accuracy array mutates
-//! between rounds.
+//! scheme survives only as this module's test oracle). A [`Grouped`] is
+//! read-only once built: every round of a fusion run, and every run at
+//! its granularity, shares it; each run keeps the provenance accuracies
+//! it learns in state of its own.
 
 use kf_mapreduce::{map_reduce_combined_with_stats, scoped_map, Emitter, JobStats, MrConfig};
 use kf_types::{
@@ -56,7 +57,8 @@ impl ItemGroup {
     }
 }
 
-/// Registry of provenances at the configured granularity.
+/// Registry of provenances at the configured granularity. Accuracies are
+/// not here: they belong to a fusion run, not to the grouping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvRegistry {
     /// The keys, indexed by dense id.
@@ -64,11 +66,6 @@ pub struct ProvRegistry {
     /// Number of unique triples each provenance supports (its *coverage*
     /// in §4.3.2 terms).
     pub support: Vec<u32>,
-    /// Current accuracy estimate.
-    pub accuracy: Vec<f64>,
-    /// Whether the accuracy has ever been re-evaluated from data (true) or
-    /// still carries its initial value (false). Drives refinement I.
-    pub evaluated: Vec<bool>,
 }
 
 impl ProvRegistry {
@@ -81,21 +78,13 @@ impl ProvRegistry {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// Reset all accuracies to `a` and clear evaluation flags.
-    pub fn reset_accuracy(&mut self, a: f64) {
-        for slot in &mut self.accuracy {
-            *slot = a;
-        }
-        for e in &mut self.evaluated {
-            *e = false;
-        }
-    }
 }
 
 /// The full grouped view of a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grouped {
+    /// The provenance granularity the registry was built at.
+    pub granularity: Granularity,
     /// Item groups, sorted by data item.
     pub items: Vec<ItemGroup>,
     /// Provenance registry.
@@ -131,11 +120,15 @@ impl Grouped {
     /// combiner — it only shrinks grouped residency and spilled bytes on
     /// duplicate-heavy corpora (the same `(triple, provenance)` seen from
     /// several pages or re-crawls).
+    ///
+    /// Traced as a `group` span: the job's `shuffle`/`reduce`, then `sort`
+    /// (the global item sort) and `renumber` (dense ids and support).
     pub fn build_with_stats(
         batch: &[Extraction],
         granularity: Granularity,
         mr: &MrConfig,
     ) -> (Grouped, JobStats) {
+        let _group = kf_telemetry::span("group");
         // ---- The single grouping pass --------------------------------------
         // The provenance key rides along with every observation in its
         // packed `u128` form (16 bytes through the shuffle instead of the
@@ -210,7 +203,10 @@ impl Grouped {
         );
         // The engine only orders keys within a shuffle partition; sort
         // globally so output order is independent of the partition count.
-        raw.sort_unstable_by_key(|g| g.0);
+        {
+            let _sort = kf_telemetry::span("sort");
+            raw.sort_unstable_by_key(|g| g.0);
+        }
 
         // ---- Post-reduce renumbering ---------------------------------------
         // Distinct provenance keys, sorted, become the dense id space —
@@ -221,6 +217,7 @@ impl Grouped {
         // steps run parallel over contiguous item chunks (concatenated in
         // order, so the result is deterministic), mirroring the
         // parallelism the reducers had.
+        let _renumber = kf_telemetry::span("renumber");
         let chunk_size = raw.len().div_ceil(mr.workers.max(1)).max(1);
         let mut sets = scoped_map(raw.chunks(chunk_size).collect(), |chunk| {
             let mut set: FxMixHashSet<u128> = FxMixHashSet::default();
@@ -296,13 +293,9 @@ impl Grouped {
             }
         }
         let grouped = Grouped {
+            granularity,
             items,
-            provs: ProvRegistry {
-                keys,
-                support,
-                accuracy: vec![0.0; n],
-                evaluated: vec![false; n],
-            },
+            provs: ProvRegistry { keys, support },
         };
         (grouped, stats)
     }
@@ -425,15 +418,10 @@ mod tests {
             }
         }
 
-        let n = keys.len();
         Grouped {
+            granularity,
             items,
-            provs: ProvRegistry {
-                keys,
-                support,
-                accuracy: vec![0.0; n],
-                evaluated: vec![false; n],
-            },
+            provs: ProvRegistry { keys, support },
         }
     }
 
@@ -664,16 +652,5 @@ mod tests {
             "dedup combiner did not shrink the accumulators (peak {})",
             stats.peak_grouped_records
         );
-    }
-
-    #[test]
-    fn registry_reset() {
-        let batch = vec![ext(1, 1, 10, 0, 100)];
-        let mut g = build(&batch);
-        g.provs.accuracy[0] = 0.3;
-        g.provs.evaluated[0] = true;
-        g.provs.reset_accuracy(0.8);
-        assert_eq!(g.provs.accuracy[0], 0.8);
-        assert!(!g.provs.evaluated[0]);
     }
 }

@@ -24,14 +24,23 @@ use crate::result::{FusionOutput, ProvenanceAttribution, ScoredTriple};
 use kf_mapreduce::{
     map_reduce_with_stats, scoped_map, Emitter, IterativeDriver, JobStats, Reservoir,
 };
-use kf_types::{hash, Extraction, ExtractionBatch, GoldStandard, Label};
+use kf_types::{hash, ExtractionBatch, GoldStandard, Label};
 
 /// The fusion engine. Construct with a [`FusionConfig`], then call
 /// [`Fuser::run`] on a batch of extractions (optionally with a gold
-/// standard for the semi-supervised initialisation).
+/// standard for the semi-supervised initialisation), or [`Fuser::fuse`]
+/// on a grouping that several runs at the same granularity share.
 #[derive(Debug, Clone, Default)]
 pub struct Fuser {
     config: FusionConfig,
+}
+
+/// What one fusion run writes, by provenance id; [`Grouped`] stays read-only.
+struct ProvState {
+    /// Current accuracy estimate.
+    accuracy: Vec<f64>,
+    /// Re-evaluated from data or seeded from gold. Drives refinement I.
+    evaluated: Vec<bool>,
 }
 
 impl Fuser {
@@ -49,7 +58,7 @@ impl Fuser {
     /// configuration asks for gold-standard accuracy initialisation; pass
     /// `None` for fully unsupervised runs.
     pub fn run(&self, batch: &ExtractionBatch, gold: Option<&GoldStandard>) -> FusionOutput {
-        self.run_records(&batch.records, gold)
+        self.run_grouped(batch, gold).1
     }
 
     /// [`Fuser::run`] that also returns the per-value
@@ -63,55 +72,67 @@ impl Fuser {
         batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
     ) -> (FusionOutput, ProvenanceAttribution) {
-        let (output, grouped) = self.run_grouped(&batch.records, gold);
-        let per_triple = grouped
-            .items
-            .iter()
-            .flat_map(|g| g.values.iter().map(|vg| vg.provs.clone()))
-            .collect::<Vec<_>>();
-        let attribution = ProvenanceAttribution::new(
-            grouped.provs.keys,
-            grouped.provs.accuracy,
-            grouped.provs.evaluated,
-            per_triple.into_iter(),
-        );
-        debug_assert_eq!(attribution.len(), output.scored.len());
+        let (grouped, output, state) = self.run_grouped(batch, gold);
+        let attribution = ProvenanceAttribution::new(&grouped, state.accuracy, state.evaluated);
         (output, attribution)
     }
 
-    /// [`Fuser::run`] over a raw record slice.
-    pub fn run_records(&self, records: &[Extraction], gold: Option<&GoldStandard>) -> FusionOutput {
-        self.run_grouped(records, gold).0
+    /// Fuse over a grouping built at this configuration's granularity
+    /// (panics otherwise). The grouping is only read, so every preset
+    /// at that granularity can fuse over one build. The result is
+    /// [`Fuser::run`]'s, except that [`FusionOutput::stats`] and the
+    /// `fuse` span leave out the grouping job.
+    pub fn fuse(&self, grouped: &Grouped, gold: Option<&GoldStandard>) -> FusionOutput {
+        let _fuse = kf_telemetry::span("fuse");
+        self.stages(grouped, gold).0
     }
 
-    /// The engine behind [`Fuser::run_records`]: fuse and also hand back
-    /// the grouped view (with final accuracies) the run operated on.
+    /// [`Fuser::fuse`] that also returns the [`ProvenanceAttribution`],
+    /// as [`Fuser::run_with_attribution`] does.
+    pub fn fuse_with_attribution(
+        &self,
+        grouped: &Grouped,
+        gold: Option<&GoldStandard>,
+    ) -> (FusionOutput, ProvenanceAttribution) {
+        let (output, state) = {
+            let _fuse = kf_telemetry::span("fuse");
+            self.stages(grouped, gold)
+        };
+        let attribution = ProvenanceAttribution::new(grouped, state.accuracy, state.evaluated);
+        (output, attribution)
+    }
+
+    /// Build this configuration's grouping of `batch` and fuse over it,
+    /// both inside one `fuse` span. The grouping job's counters join the
+    /// output's stats.
     fn run_grouped(
         &self,
-        records: &[Extraction],
+        batch: &ExtractionBatch,
         gold: Option<&GoldStandard>,
-    ) -> (FusionOutput, Grouped) {
+    ) -> (Grouped, FusionOutput, ProvState) {
         let cfg = &self.config;
         let _fuse = kf_telemetry::span("fuse");
-        // The grouping job's counters (including the single grouping pass's
-        // shuffle volume and residency peak) seed the pipeline totals.
-        let (mut grouped, mut stats) = {
-            let _group = kf_telemetry::span("group");
-            Grouped::build_with_stats(records, cfg.granularity, &cfg.mr)
-        };
+        let (grouped, stats) = Grouped::build_with_stats(&batch.records, cfg.granularity, &cfg.mr);
+        let (mut output, state) = self.stages(&grouped, gold);
+        output.stats.merge(&stats);
+        (grouped, output, state)
+    }
+
+    /// The one fusion path behind every entry point: the three stages
+    /// over `grouped`, returning the output and the provenance state the
+    /// run learned.
+    fn stages(&self, grouped: &Grouped, gold: Option<&GoldStandard>) -> (FusionOutput, ProvState) {
+        let cfg = &self.config;
+        assert_eq!(grouped.granularity, cfg.granularity, "granularity");
 
         // ---- Accuracy initialisation (§4.3.3) -----------------------------
-        grouped.provs.reset_accuracy(cfg.default_accuracy);
-        if let InitAccuracy::FromGold { sample_rate } = cfg.init {
-            if let Some(gold) = gold {
-                init_accuracy_from_gold(
-                    &mut grouped,
-                    gold,
-                    sample_rate,
-                    cfg.default_accuracy,
-                    cfg.seed,
-                );
-            }
+        let n = grouped.provs.len();
+        let mut state = ProvState {
+            accuracy: vec![cfg.default_accuracy; n],
+            evaluated: vec![false; n],
+        };
+        if let (InitAccuracy::FromGold { sample_rate }, Some(gold)) = (cfg.init, gold) {
+            init_accuracy_from_gold(grouped, &mut state, gold, sample_rate, cfg.seed);
         }
 
         // Per-(item, value) probability slots, flattened.
@@ -122,7 +143,7 @@ impl Fuser {
         }
         let n_slots = *offsets.last().unwrap();
         let mut probs: Vec<Option<f64>> = vec![None; n_slots];
-        let mut fallback_flags: Vec<bool> = vec![false; n_slots];
+        let mut fallback: Vec<bool> = vec![false; n_slots];
 
         // ---- Iterate Stage I ↔ Stage II ------------------------------------
         let driver = IterativeDriver {
@@ -130,6 +151,7 @@ impl Fuser {
             tolerance: cfg.tolerance,
         };
         let mut round_deltas = Vec::with_capacity(cfg.rounds);
+        let mut stats = JobStats::default();
         let outcome = driver.run(|round| {
             let _round = kf_telemetry::span("round");
             let round_start = std::time::Instant::now();
@@ -137,7 +159,7 @@ impl Fuser {
             // Stage I: probabilities from current accuracies.
             {
                 let _s1 = kf_telemetry::span("stage1");
-                self.stage_one(&grouped, &offsets, round, &mut probs, &mut fallback_flags);
+                self.stage_one(grouped, &state, &offsets, round, &mut probs, &mut fallback);
             }
 
             // VOTE runs a single stage-I pass; no accuracy iteration.
@@ -151,7 +173,7 @@ impl Fuser {
             // Stage II: accuracies from probabilities.
             let (delta, s2_stats) = {
                 let _s2 = kf_telemetry::span("stage2");
-                self.stage_two(&mut grouped, &offsets, &probs, round)
+                self.stage_two(grouped, &mut state, &offsets, &probs, round)
             };
             stats.merge(&s2_stats);
             round_deltas.push(delta);
@@ -171,21 +193,21 @@ impl Fuser {
                     n_provenances: vg.provs.len() as u32,
                     n_extractors: vg.n_extractors,
                     n_pages: vg.n_pages,
-                    fallback: fallback_flags[slot],
+                    fallback: fallback[slot],
                 });
             }
         }
 
-        kf_telemetry::add("fuse.provenances", grouped.provs.len() as u64);
+        kf_telemetry::add("fuse.provenances", n as u64);
         kf_telemetry::add("fuse.scored_triples", scored.len() as u64);
         let output = FusionOutput {
             scored,
             outcome,
             round_deltas,
-            n_provenances: grouped.provs.len(),
+            n_provenances: n,
             stats,
         };
-        (output, grouped)
+        (output, state)
     }
 
     /// Stage I: compute every slot's probability and fallback flag from
@@ -196,26 +218,26 @@ impl Fuser {
     fn stage_one(
         &self,
         grouped: &Grouped,
+        state: &ProvState,
         offsets: &[usize],
         round: usize,
         mut probs: &mut [Option<f64>],
         mut fallback_flags: &mut [bool],
     ) {
         let cfg = &self.config;
-        let provs = &grouped.provs;
         let coverage_filtering = cfg.filter_by_coverage;
         let threshold = cfg.accuracy_threshold;
 
         // A provenance is *active* when it survives the refinements.
         let active = |pid: u32| -> bool {
             let i = pid as usize;
-            if coverage_filtering && round > 0 && !provs.evaluated[i] {
+            if coverage_filtering && round > 0 && !state.evaluated[i] {
                 return false;
             }
             if let Some(theta) = threshold {
                 // The threshold applies to evaluated accuracies; an
                 // unevaluated provenance still carries the default.
-                if provs.accuracy[i] < theta {
+                if state.accuracy[i] < theta {
                     return false;
                 }
             }
@@ -241,7 +263,7 @@ impl Fuser {
                 let slots = offsets[gi] - base..offsets[gi + 1] - base;
                 self.score_item(
                     &grouped.items[gi],
-                    grouped,
+                    state,
                     round,
                     &active,
                     &mut probs[slots.clone()],
@@ -256,14 +278,13 @@ impl Fuser {
     fn score_item(
         &self,
         group: &ItemGroup,
-        grouped: &Grouped,
+        state: &ProvState,
         round: usize,
         active: &dyn Fn(u32) -> bool,
         probs: &mut [Option<f64>],
         fallback_flags: &mut [bool],
     ) {
         let cfg = &self.config;
-        let provs = &grouped.provs;
 
         // Coverage filter, round 1 (§4.3.2): only score items where at
         // least one triple has more than one provenance, so that the
@@ -278,7 +299,7 @@ impl Fuser {
             && !group
                 .values
                 .iter()
-                .any(|v| v.provs.iter().any(|&p| provs.evaluated[p as usize]))
+                .any(|v| v.provs.iter().any(|&p| state.evaluated[p as usize]))
         {
             probs.fill(None);
             fallback_flags.fill(false);
@@ -299,7 +320,7 @@ impl Fuser {
             cands.push(
                 sampled
                     .iter()
-                    .map(|&p| provs.accuracy[p as usize])
+                    .map(|&p| state.accuracy[p as usize])
                     .collect(),
             );
         }
@@ -320,13 +341,13 @@ impl Fuser {
             (probs[vi], fallback_flags[vi]) = if counts[vi] > 0 {
                 (Some(probabilities[vi]), false)
             } else if cfg.accuracy_threshold.is_some()
-                && vg.provs.iter().any(|&p| provs.evaluated[p as usize])
+                && vg.provs.iter().any(|&p| state.evaluated[p as usize])
             {
                 // All of this value's provenances were filtered. With an
                 // accuracy threshold the paper compensates with the mean
                 // accuracy of the triple's own provenances; with pure
                 // coverage filtering there is no prediction.
-                let sum: f64 = vg.provs.iter().map(|&p| provs.accuracy[p as usize]).sum();
+                let sum: f64 = vg.provs.iter().map(|&p| state.accuracy[p as usize]).sum();
                 (Some(sum / vg.provs.len() as f64), true)
             } else {
                 (None, false)
@@ -347,7 +368,8 @@ impl Fuser {
     /// lists and replaying them in input order.
     fn stage_two(
         &self,
-        grouped: &mut Grouped,
+        grouped: &Grouped,
+        state: &mut ProvState,
         offsets: &[usize],
         probs: &[Option<f64>],
         round: usize,
@@ -355,7 +377,6 @@ impl Fuser {
         let cfg = &self.config;
         let items = &grouped.items;
         let skip_unevaluated = cfg.filter_by_coverage && round > 0;
-        let evaluated_snapshot = grouped.provs.evaluated.clone();
 
         let indices: Vec<usize> = (0..items.len()).collect();
         let (mut updates, stats) = map_reduce_with_stats(
@@ -368,7 +389,7 @@ impl Fuser {
                         continue;
                     };
                     for &pid in &vg.provs {
-                        if skip_unevaluated && !evaluated_snapshot[pid as usize] {
+                        if skip_unevaluated && !state.evaluated[pid as usize] {
                             continue;
                         }
                         emit.emit(pid, p);
@@ -398,9 +419,9 @@ impl Fuser {
         let mut updated = 0usize;
         for (pid, accuracy) in updates {
             let i = pid as usize;
-            delta_sum += (grouped.provs.accuracy[i] - accuracy).abs();
-            grouped.provs.accuracy[i] = accuracy.clamp(0.0, 1.0);
-            grouped.provs.evaluated[i] = true;
+            delta_sum += (state.accuracy[i] - accuracy).abs();
+            state.accuracy[i] = accuracy.clamp(0.0, 1.0);
+            state.evaluated[i] = true;
             updated += 1;
         }
         let delta = if updated == 0 {
@@ -417,10 +438,10 @@ impl Fuser {
 /// labelled true, over a `sample_rate` subset of gold items; provenances
 /// with no labelled triples keep the default.
 fn init_accuracy_from_gold(
-    grouped: &mut Grouped,
+    grouped: &Grouped,
+    state: &mut ProvState,
     gold: &GoldStandard,
     sample_rate: f64,
-    default_accuracy: f64,
     seed: u64,
 ) {
     let n = grouped.provs.len();
@@ -451,10 +472,8 @@ fn init_accuracy_from_gold(
 
     for i in 0..n {
         if labelled_counts[i] > 0 {
-            grouped.provs.accuracy[i] = true_counts[i] as f64 / labelled_counts[i] as f64;
-            grouped.provs.evaluated[i] = true;
-        } else {
-            grouped.provs.accuracy[i] = default_accuracy;
+            state.accuracy[i] = true_counts[i] as f64 / labelled_counts[i] as f64;
+            state.evaluated[i] = true;
         }
     }
 }
@@ -465,8 +484,8 @@ mod tests {
     use crate::config::{FusionConfig, InitAccuracy, Method};
     use kf_mapreduce::MrConfig;
     use kf_types::{
-        DataItem, EntityId, ExtractorId, PageId, PatternId, PredicateId, Provenance, SiteId,
-        Triple, Value,
+        DataItem, EntityId, Extraction, ExtractorId, PageId, PatternId, PredicateId, Provenance,
+        SiteId, Triple, Value,
     };
 
     /// Build an extraction with distinct provenance per (extractor, page).

@@ -1,5 +1,6 @@
 //! Fusion output types.
 
+use crate::observation::Grouped;
 use kf_mapreduce::{JobStats, RoundOutcome};
 use kf_types::{ExtractorId, FxHashMap, ProvenanceKey, Triple};
 use serde::{Deserialize, Serialize};
@@ -36,9 +37,10 @@ pub struct FusionOutput {
     pub round_deltas: Vec<f64>,
     /// Number of provenances at the configured granularity.
     pub n_provenances: usize,
-    /// Merged MapReduce counters of the grouping job and every round's
-    /// Stage II job. Stage I is map-only (no MapReduce job), so it
-    /// contributes nothing here.
+    /// Merged MapReduce counters of the grouping job (when the run built
+    /// its own grouping; [`Fuser::fuse`](crate::Fuser::fuse) over a shared
+    /// one leaves it out) and every round's Stage II job. Stage I is
+    /// map-only (no MapReduce job), so it contributes nothing here.
     pub stats: JobStats,
 }
 
@@ -110,22 +112,20 @@ pub struct ProvenanceAttribution {
 }
 
 impl ProvenanceAttribution {
-    /// Assemble from per-triple provenance id lists (in scored order) and
-    /// the registry columns.
-    pub(crate) fn new(
-        keys: Vec<ProvenanceKey>,
-        accuracy: Vec<f64>,
-        evaluated: Vec<bool>,
-        per_triple: impl Iterator<Item = Vec<u32>>,
-    ) -> Self {
-        let mut offsets = vec![0usize];
-        let mut prov_ids = Vec::new();
-        for provs in per_triple {
-            prov_ids.extend(provs);
+    /// Assemble from a run's grouping and the provenance columns it
+    /// learned. The per-value provenance lists stream from `grouped`
+    /// into exactly sized flat buffers.
+    pub(crate) fn new(grouped: &Grouped, accuracy: Vec<f64>, evaluated: Vec<bool>) -> Self {
+        let values = || grouped.items.iter().flat_map(|g| &g.values);
+        let mut offsets = Vec::with_capacity(grouped.n_triples() + 1);
+        offsets.push(0);
+        let mut prov_ids = Vec::with_capacity(values().map(|vg| vg.provs.len()).sum());
+        for vg in values() {
+            prov_ids.extend_from_slice(&vg.provs);
             offsets.push(prov_ids.len());
         }
         ProvenanceAttribution {
-            keys,
+            keys: grouped.provs.keys.clone(),
             accuracy,
             evaluated,
             offsets,
@@ -243,12 +243,32 @@ mod tests {
                 )
             })
             .collect();
-        let attribution = ProvenanceAttribution::new(
-            keys,
-            vec![0.9, 0.5, 0.2],
-            vec![true, true, false],
-            vec![vec![0, 1, 2], vec![2], vec![]].into_iter(),
-        );
+        // Scored triples 0 and 1 are two values of one item, 2 is another
+        // item's value with no provenance.
+        let value = |o: u32, provs: Vec<u32>| crate::ValueGroup {
+            value: Value::Entity(EntityId(o)),
+            provs,
+            n_extractors: 0,
+            n_pages: 0,
+        };
+        let item = |s: u32, values| crate::ItemGroup {
+            item: kf_types::DataItem::new(EntityId(s), PredicateId(0)),
+            values,
+        };
+        let grouped = crate::Grouped {
+            granularity: Granularity::ExtractorPage,
+            items: vec![
+                item(1, vec![value(1, vec![0, 1, 2]), value(2, vec![2])]),
+                item(2, vec![value(1, vec![])]),
+            ],
+            provs: crate::ProvRegistry {
+                keys,
+                support: vec![1, 1, 2],
+            },
+        };
+        let attribution =
+            ProvenanceAttribution::new(&grouped, vec![0.9, 0.5, 0.2], vec![true, true, false]);
+        assert_eq!(attribution.keys, grouped.provs.keys);
         assert_eq!(attribution.len(), 3);
         assert_eq!(attribution.provs(0), &[0, 1, 2]);
         assert_eq!(attribution.provs(1), &[2]);

@@ -201,3 +201,83 @@ fn fusion_is_deterministic_across_runs_and_workers() {
         }
     }
 }
+
+/// Every preset of a granularity fused one after another over one
+/// borrowed grouping, in either order, equals a fresh run of its own, bit
+/// for bit and attribution included, and leaves the grouping unchanged.
+#[test]
+fn presets_sharing_a_grouping_match_fresh_runs_in_any_order() {
+    use kf_core::{Grouped, InitAccuracy};
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
+    let gold_for = |cfg: &FusionConfig| {
+        matches!(cfg.init, InitAccuracy::FromGold { .. }).then_some(&corpus.gold)
+    };
+    // One family per granularity; the second ends with the gold-seeded
+    // POPACCU+, so the reversed order fuses it first.
+    let families = [
+        vec![
+            FusionConfig::vote(),
+            FusionConfig::accu(),
+            FusionConfig::popaccu(),
+        ],
+        vec![
+            FusionConfig::popaccu_plus_unsup(),
+            FusionConfig::popaccu_plus(),
+        ],
+    ];
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for workers in [1, 3] {
+        for family in &families {
+            let family: Vec<FusionConfig> =
+                family.iter().map(|c| c.with_workers(workers)).collect();
+            let fresh: Vec<_> = family
+                .iter()
+                .map(|cfg| Fuser::new(*cfg).run_with_attribution(&corpus.batch, gold_for(cfg)))
+                .collect();
+            let (granularity, mr) = (family[0].granularity, family[0].mr);
+            let shared = Grouped::build(&corpus.batch.records, granularity, &mr);
+            let forward: Vec<usize> = (0..family.len()).collect();
+            let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+            for &i in forward.iter().chain(&reversed) {
+                let cfg = family[i];
+                let (out, attr) = Fuser::new(cfg).fuse_with_attribution(&shared, gold_for(&cfg));
+                let (want, want_attr) = &fresh[i];
+                let what = format!("{:?} at {granularity:?}, {workers} workers", cfg.method);
+                assert_eq!(out.scored.len(), want.scored.len(), "{what}");
+                for (a, b) in out.scored.iter().zip(&want.scored) {
+                    assert_eq!(a.triple, b.triple, "{what}");
+                    assert_eq!(
+                        a.probability.map(f64::to_bits),
+                        b.probability.map(f64::to_bits),
+                        "{what}: probability of {:?}",
+                        a.triple
+                    );
+                    assert_eq!(a.fallback, b.fallback, "{what}");
+                }
+                assert_eq!(bits(&out.round_deltas), bits(&want.round_deltas), "{what}");
+                assert_eq!(attr.len(), want_attr.len(), "{what}");
+                for row in 0..attr.len() {
+                    assert_eq!(attr.provs(row), want_attr.provs(row), "{what}");
+                }
+                assert_eq!(attr.keys, want_attr.keys, "{what}");
+                assert_eq!(bits(&attr.accuracy), bits(&want_attr.accuracy), "{what}");
+                assert_eq!(attr.evaluated, want_attr.evaluated, "{what}");
+            }
+            let rebuilt = Grouped::build(&corpus.batch.records, granularity, &mr);
+            assert_eq!(shared, rebuilt, "the shared grouping changed");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "granularity")]
+fn fusing_a_grouping_of_another_granularity_panics() {
+    let corpus = Corpus::generate(&SynthConfig::tiny(), 42);
+    let cfg = FusionConfig::popaccu_plus_unsup();
+    let grouped = kf_core::Grouped::build(
+        &corpus.batch.records,
+        FusionConfig::vote().granularity,
+        &cfg.mr,
+    );
+    Fuser::new(cfg).fuse(&grouped, None);
+}

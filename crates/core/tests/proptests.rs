@@ -9,8 +9,8 @@ use kf_core::methods::{accu, popaccu, vote};
 use kf_core::{Fuser, FusionConfig, FusionOutput, Grouped};
 use kf_mapreduce::MrConfig;
 use kf_types::{
-    DataItem, EntityId, Extraction, ExtractorId, GoldStandard, Granularity, PageId, PatternId,
-    PredicateId, Provenance, SiteId, Triple, Value,
+    DataItem, EntityId, Extraction, ExtractionBatch, ExtractorId, GoldStandard, Granularity,
+    PageId, PatternId, PredicateId, Provenance, SiteId, Triple, Value,
 };
 use proptest::prelude::*;
 
@@ -179,6 +179,7 @@ proptest! {
         let mr = MrConfig { partitions, ..MrConfig::with_workers(workers) }
             .with_chunk_records(chunk_records)
             .with_spill_threshold(spill_threshold);
+        let batch = ExtractionBatch::from_records(batch);
         for cfg in [
             FusionConfig::vote(),
             FusionConfig::accu(),
@@ -187,8 +188,8 @@ proptest! {
             FusionConfig::popaccu_plus(),
         ] {
             let reference = Fuser::new(FusionConfig { mr: MrConfig::sequential(), ..cfg })
-                .run_records(&batch, Some(&gold));
-            let varied = Fuser::new(FusionConfig { mr, ..cfg }).run_records(&batch, Some(&gold));
+                .run(&batch, Some(&gold));
+            let varied = Fuser::new(FusionConfig { mr, ..cfg }).run(&batch, Some(&gold));
             prop_assert_eq!(bits(&reference), bits(&varied), "{:?} under {:?}", cfg.method, mr);
         }
     }

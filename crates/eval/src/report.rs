@@ -155,7 +155,10 @@ pub struct MethodEval {
     /// `(k, precision@k)` for the configured cut-offs (only cut-offs ≤ the
     /// number of predictions appear).
     pub precision_at: Vec<(usize, f64)>,
-    /// Wall-clock milliseconds spent fusing (excludes evaluation).
+    /// Wall-clock milliseconds spent fusing (excludes evaluation),
+    /// building the grouping fused over included. A grouping that
+    /// several presets share (`kf-bench` runs) is charged to each of them
+    /// in equal parts.
     pub fuse_ms: f64,
     /// Fig. 17-style error taxonomy of the method's high-confidence false
     /// positives, when the diagnosis pass ran (`kf-diagnose`; the `repro`

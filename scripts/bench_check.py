@@ -5,16 +5,19 @@ Usage:
 
     python3 scripts/bench_check.py BENCH_pr5.json BENCH_pr7.json BENCH_ci.json
 
-The *last* file in argument order is the run under test; its baseline is
-the per-row **best of the two preceding files** (when only two files are
-given, the single preceding file). Best means the lower `mean_ns` for
-timing rows and the higher `mean_qps` for throughput rows — one lucky
-runner in the previous CI run must not ratchet the bar down for
-everyone after. Quality/value rows take the *newer* committed value
-("best" is undefined for a drift-in-either-direction metric), and a row
-missing from the newer file falls back to the older one. Earlier files
-only document the trajectory. Every baselined row id present in the run
-under test is checked against a per-prefix tolerance band:
+The *last* file in argument order is the run under test; the files
+before it are the committed trajectory, oldest first. Each row's
+baseline is the **best of the two newest committed files that contain
+that row** (the one file, when only one does), so a row that a newer
+file lacks — a renamed span path, a bench skipped in one PR — keeps
+its own recent history instead of vanishing or falling back to one
+stale observation. Best means the lower `mean_ns` for timing rows and
+the higher `mean_qps` for throughput rows — one lucky runner in the
+previous CI run must not ratchet the bar down for everyone after.
+Quality/value rows take the *newer* of the two values ("best" is
+undefined for a drift-in-either-direction metric). Every baselined row
+id present in the run under test is checked against a per-prefix
+tolerance band:
 
     prefix      metric        band    regression when
     trace/      mean_ns       ±50%    latest > previous * 1.5
@@ -62,22 +65,27 @@ def load_rows(path):
     return {row["id"]: row for row in doc.get("rows", [])}
 
 
-def best_of(older, newer):
-    """Per-row baseline from the two newest committed files: the faster
-    timing, the higher throughput, the newer value — and the older file's
-    row when the newer one dropped it."""
-    merged = dict(newer)
-    for row_id, old_row in older.items():
-        new_row = merged.get(row_id)
-        if new_row is None:
-            merged[row_id] = old_row
-        elif "mean_ns" in old_row and "mean_ns" in new_row:
-            if old_row["mean_ns"] < new_row["mean_ns"]:
-                merged[row_id] = old_row
-        elif "mean_qps" in old_row and "mean_qps" in new_row:
-            if old_row["mean_qps"] > new_row["mean_qps"]:
-                merged[row_id] = old_row
-    return merged
+def better(old_row, new_row):
+    """One row's baseline from an older and a newer observation: the
+    faster timing, the higher throughput, else the newer value."""
+    if "mean_ns" in old_row and "mean_ns" in new_row:
+        return old_row if old_row["mean_ns"] < new_row["mean_ns"] else new_row
+    if "mean_qps" in old_row and "mean_qps" in new_row:
+        return old_row if old_row["mean_qps"] > new_row["mean_qps"] else new_row
+    return new_row
+
+
+def baseline(committed):
+    """Per-row baseline from the committed files' rows, oldest first: the
+    better of the two newest observations of each row."""
+    history = {}
+    for rows in committed:
+        for row_id, row in rows.items():
+            history.setdefault(row_id, []).append(row)
+    return {
+        row_id: seen[-1] if len(seen) == 1 else better(seen[-2], seen[-1])
+        for row_id, seen in history.items()
+    }
 
 
 def fmt_ns(ns):
@@ -149,19 +157,17 @@ def main():
         print("usage: bench_check.py BENCH_old.json ... BENCH_new.json", file=sys.stderr)
         print(
             "(needs at least two files; the last is checked against the "
-            "best of the two before it)",
+            "files before it)",
             file=sys.stderr,
         )
         return 2
     latest_path = paths[-1]
-    if len(paths) >= 3:
-        older_path, newer_path = paths[-3], paths[-2]
-        print(f"bench-check: {latest_path} vs best of {older_path} + {newer_path}")
-        baseline = best_of(load_rows(older_path), load_rows(newer_path))
-    else:
-        print(f"bench-check: {latest_path} vs {paths[-2]}")
-        baseline = load_rows(paths[-2])
-    compared, regressions = check(baseline, load_rows(latest_path))
+    print(
+        f"bench-check: {latest_path} vs per-row best of the two newest of "
+        f"{', '.join(paths[:-1])} that have the row"
+    )
+    baseline_rows = baseline([load_rows(path) for path in paths[:-1]])
+    compared, regressions = check(baseline_rows, load_rows(latest_path))
     print(f"bench-check: {compared} rows compared, {len(regressions)} regressed")
     if regressions:
         for row_id in regressions:

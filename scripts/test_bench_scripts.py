@@ -100,27 +100,49 @@ class ToleranceBands(unittest.TestCase):
         self.assertEqual((compared, regressions), (0, []))
 
 
+def by_id(*rows):
+    return {r["id"]: r for r in rows}
+
+
 class BaselineSelection(unittest.TestCase):
     def test_best_of_takes_min_ns_and_max_qps_per_row(self):
-        older = {r["id"]: r for r in [ns_row("t", 1e6), qps_row("q", 900)]}
-        newer = {r["id"]: r for r in [ns_row("t", 2e6), qps_row("q", 700)]}
-        best = bench_check.best_of(older, newer)
+        older = by_id(ns_row("t", 1e6), qps_row("q", 900))
+        newer = by_id(ns_row("t", 2e6), qps_row("q", 700))
+        best = bench_check.baseline([older, newer])
         self.assertEqual(best["t"]["mean_ns"], 1e6)
         self.assertEqual(best["q"]["mean_qps"], 900)
         # The other direction: the newer file wins where it is better.
-        best = bench_check.best_of(newer, older)
+        best = bench_check.baseline([newer, older])
         self.assertEqual(best["t"]["mean_ns"], 1e6)
         self.assertEqual(best["q"]["mean_qps"], 900)
 
     def test_best_of_value_rows_take_the_newer_file(self):
-        older = {r["id"]: r for r in [value_row("v", 1.0)]}
-        newer = {r["id"]: r for r in [value_row("v", 2.0)]}
-        self.assertEqual(bench_check.best_of(older, newer)["v"]["value"], 2.0)
+        older = by_id(value_row("v", 1.0))
+        newer = by_id(value_row("v", 2.0))
+        self.assertEqual(bench_check.baseline([older, newer])["v"]["value"], 2.0)
 
-    def test_best_of_falls_back_to_the_older_file_for_dropped_rows(self):
-        older = {r["id"]: r for r in [ns_row("only-old", 1e6)]}
-        best = bench_check.best_of(older, {})
+    def test_a_row_in_one_file_takes_that_files_value(self):
+        best = bench_check.baseline([by_id(ns_row("only-old", 1e6)), {}])
         self.assertEqual(best["only-old"]["mean_ns"], 1e6)
+
+    def test_only_the_two_newest_files_with_the_row_count(self):
+        # The oldest file's 0.5 ms is history, not the baseline.
+        files = [by_id(ns_row("t", 0.5e6)), by_id(ns_row("t", 2e6)), by_id(ns_row("t", 3e6))]
+        self.assertEqual(bench_check.baseline(files)["t"]["mean_ns"], 2e6)
+
+    def test_files_without_the_row_are_skipped_per_row(self):
+        # "t" is missing from the two newest files; its baseline is still
+        # the best of the two newest files that have it. "u" is in every
+        # file and uses only the two newest.
+        files = [
+            by_id(ns_row("t", 1e6), ns_row("u", 1e6)),
+            by_id(ns_row("t", 3e6), ns_row("u", 1e6)),
+            by_id(ns_row("u", 4e6)),
+            by_id(ns_row("u", 5e6)),
+        ]
+        best = bench_check.baseline(files)
+        self.assertEqual(best["t"]["mean_ns"], 1e6)
+        self.assertEqual(best["u"]["mean_ns"], 4e6)
 
 
 class ExitCodes(unittest.TestCase):
@@ -162,6 +184,20 @@ class ExitCodes(unittest.TestCase):
         )
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("best of", result.stdout)
+
+    def test_a_row_absent_from_the_newest_files_keeps_its_baseline(self):
+        # Only the two newest files used to count: "a" had no baseline in
+        # them and passed unchecked. Its own two newest observations (1 ms
+        # and 2 ms) now flag 1.5 ms (+50% > +30% band).
+        result = self.run_script(
+            [ns_row("a", 1e6)],
+            [ns_row("a", 2e6)],
+            [ns_row("b", 1e6)],
+            [ns_row("b", 1e6)],
+            [ns_row("a", 1.5e6), ns_row("b", 1e6)],
+        )
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("REGRESSION a", result.stderr)
 
 
 class BenchJsonFolds(unittest.TestCase):
